@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,7 +91,10 @@ def load_scan_config(path: str | Path, overrides: dict | None = None) -> ScanCon
     path = Path(path)
     base = path.parent
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise QfciError(f"{path}: malformed JSON: {exc}") from exc
     overrides = overrides or {}
 
     ipea_raw = dict(_require(raw, "ipea", str(path)))
@@ -107,17 +109,22 @@ def load_scan_config(path: str | Path, overrides: dict | None = None) -> ScanCon
             "repetition_counts", raw.get("repetition_counts", [11, 31, 51, 101])
         )
     )
+    if not reps_list:
+        raise QfciError("repetition_counts must not be empty")
     for r in reps_list:
         if r < 1 or r % 2 == 0:
             raise QfciError(f"repetition counts must be odd, got {r}")
-    cfg = IpeaConfig(
-        window=EvolutionWindow(e_max=e_max, e_min=e_min),
-        m=bits,
-        variant=variant,
-        repetitions_per_bit=int(ipea_raw.get("repetitions_per_bit", reps_list[0])),
-        whole_run_repeats=int(ipea_raw.get("whole_run_repeats", 1)),
-        rng_seed=seed,
-    )
+    try:
+        cfg = IpeaConfig(
+            window=EvolutionWindow(e_max=e_max, e_min=e_min),
+            m=bits,
+            variant=variant,
+            repetitions_per_bit=int(ipea_raw.get("repetitions_per_bit", reps_list[0])),
+            whole_run_repeats=int(ipea_raw.get("whole_run_repeats", 1)),
+            rng_seed=seed,
+        )
+    except ValueError as exc:
+        raise QfciError(f"ipea: {exc}") from exc
 
     outputs = raw.get("outputs", {})
     csv_path = Path(overrides.get("csv", outputs.get("csv", "scan.csv")))
@@ -297,16 +304,10 @@ def _fmt(x) -> str:
 def run_scan(cfg: ScanConfig, search_runs: int = 0) -> dict:
     """Evaluate all points, write CSV + JSON sidecar, return the report."""
     seeds = np.random.SeedSequence(cfg.master_seed).spawn(max(1, len(cfg.points)))
-    workers = min(8, len(cfg.points)) or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(
-            pool.map(
-                lambda pair: _evaluate_point(
-                    pair[0], cfg.ipea, cfg.repetition_counts, pair[1], search_runs
-                ),
-                zip(cfg.points, seeds),
-            )
-        )
+    outcomes = [
+        _evaluate_point(point, cfg.ipea, cfg.repetition_counts, seed_seq, search_runs)
+        for point, seed_seq in zip(cfg.points, seeds)
+    ]
     points = [row for row, _ in outcomes]
     warnings = [w for _, ws in outcomes for w in ws]
 

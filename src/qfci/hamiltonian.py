@@ -250,7 +250,8 @@ class SectorSpectrum:
 
     sector is (n_alpha, n_beta), or None for a generic/full-space block.
     eigenvectors columns are expressed over `determinants`, which lists
-    the full-register basis indices the block lives on.
+    the full-register basis indices the block lives on.  exact_eigensolve
+    keeps them real (the integrals are real); consumers upcast on use.
     """
 
     sector: tuple[int, int] | None
@@ -317,7 +318,7 @@ def exact_eigensolve(
     return SectorSpectrum(
         sector=sector,
         eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors.astype(np.complex128),
+        eigenvectors=eigenvectors,
         determinants=np.array(dets, dtype=np.int64),
     )
 

@@ -22,12 +22,15 @@ from .statevector import (
     HADAMARD,
     StateVector,
     apply_gate,
+    from_amplitudes,
     measure_qubit,
     new_register,
     rz_phase,
 )
 
 COVERAGE_TOL = 1e-12
+# A float64 phase carries 52 fractional bits; more cannot be resolved.
+MAX_BITS = 52
 
 
 @dataclass(frozen=True)
@@ -40,8 +43,8 @@ class IpeaConfig:
     rng_seed: int | None = None
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("need at least one bit")
+        if not 1 <= self.m <= MAX_BITS:
+            raise ValueError(f"bits must be in 1..{MAX_BITS}, got {self.m}")
         if self.variant not in ("A", "B"):
             raise ValueError(f"variant must be 'A' or 'B', got {self.variant!r}")
         if self.repetitions_per_bit < 1 or self.repetitions_per_bit % 2 == 0:
@@ -166,7 +169,7 @@ def _as_statevector(guess, cap: int = 24) -> StateVector:
         return guess.to_statevector(cap)
     if isinstance(guess, StateVector):
         return guess
-    return StateVector(int(np.log2(len(guess))), np.asarray(guess, np.complex128))
+    return from_amplitudes(guess, cap)
 
 
 def state_decomposition(
@@ -312,15 +315,40 @@ def ipea_a_success_probability(
 # -- variant B ------------------------------------------------------------
 
 
-def _majority_tail(reps: int, p: float) -> float:
-    """P[Binomial(reps, p) reaches a strict majority], reps odd."""
+def _majority_tail(reps: int, p):
+    """P[Binomial(reps, p) reaches a strict majority], reps odd; p may be an array.
+
+    Homogeneous Horner in (p, q) over j = reps down to need = reps//2 + 1:
+    sum_j C(reps, j) p^j q^(reps-j) = p^need * sum_j C(reps, j) p^(j-need) q^(reps-j).
+    """
     need = reps // 2 + 1
+    p = np.asarray(p, dtype=float)
     q = 1.0 - p
-    return sum(math.comb(reps, j) * p**j * q ** (reps - j) for j in range(need, reps + 1))
+    acc = np.ones_like(p)
+    q_pow = np.ones_like(p)
+    for j in range(reps - 1, need - 1, -1):
+        acc *= p
+        q_pow *= q
+        acc += float(math.comb(reps, j)) * q_pow
+    acc *= p**need
+    return acc if acc.ndim else float(acc)
 
 
-def _mixture_one_probability(decomp, k: int, omega: float) -> float:
-    return sum(w * bit_probability(phase, k, omega) for w, phase, _, _ in decomp)
+def _voted_one_probability(
+    weights: np.ndarray, phases: np.ndarray, k: int, m: int, v: np.ndarray
+) -> np.ndarray:
+    """Born probability of reading 1 at iteration k for each voted history v.
+
+    v holds the bits voted at iterations m..k+1 (bit m-j is phi_j), so the
+    feedback angle is omega = -v / 2^(m-k+1) turns.  With
+    S_k = sum_j w_j exp(2 pi i frac(2^(k-1) phi_j)), the eigenphase mixture
+    sum_j w_j sin^2(pi (2^(k-1) phi_j + omega)) equals
+    (sum_j w_j - Re(exp(2 pi i omega) S_k)) / 2.
+    """
+    s_k = np.dot(weights, np.exp(2j * np.pi * np.mod(2.0 ** (k - 1) * phases, 1.0)))
+    angle = v * (-2.0 * np.pi * 2.0 ** (k - m - 1))
+    re = np.cos(angle) * s_k.real - np.sin(angle) * s_k.imag
+    return np.clip(0.5 * (weights.sum() - re), 0.0, 1.0)
 
 
 def ipea_b_run(
@@ -397,16 +425,12 @@ def sample_b_outcomes(
     total = sum(w for w, _ in weights)
     if abs(total - 1.0) > 1e-10:
         raise WeightNormalization(f"weights sum to {total!r}")
+    w, phases = np.array(weights, dtype=float).T
     reps = cfg.repetitions_per_bit
     m = cfg.m
     v = np.zeros(n_runs, dtype=np.int64)
     for k in range(m, 0, -1):
-        omega = -(v.astype(float)) * 2.0 ** (k - m - 1)
-        p1 = np.zeros(n_runs)
-        for w, phase in weights:
-            arg = np.mod(2.0 ** (k - 1) * phase + omega, 1.0)
-            p1 += w * np.sin(np.pi * arg) ** 2
-        ones = rng.binomial(reps, np.clip(p1, 0.0, 1.0))
+        ones = rng.binomial(reps, _voted_one_probability(w, phases, k, m, v))
         votes = (ones > reps // 2).astype(np.int64)
         v += votes << (m - k)
     return v
@@ -429,11 +453,15 @@ def ipea_b_success_probability(
 ):
     """Exact variant-B success probability by history recursion.
 
-    Walks the tree of voted-bit histories, propagating exact binomial
-    majority probabilities; branches below prune_tol of probability mass
-    are dropped (the discarded mass bounds the truncation error and is
-    available via return_detail).  Success means the final outcome hits
-    the target phase rounded down or up (modular).
+    Walks the tree of voted-bit histories level by level, propagating
+    exact binomial majority probabilities; branches below prune_tol of
+    probability mass are dropped (the discarded mass bounds the
+    truncation error and is available via return_detail).  Success means
+    the final outcome hits the target phase rounded down or up (modular).
+
+    The frontier is a pair of flat arrays (voted bits so far, mass).
+    Each level sets a new bit, so children never merge and a level is
+    one filter over the concatenated 1- and 0-children.
     """
     system = _as_statevector(guess)
     decomp = state_decomposition(system.amplitudes, spectra, cfg.window)
@@ -443,30 +471,25 @@ def ipea_b_success_probability(
     b_down, _, _ = rounding_masses(target_row[1], cfg.m)
     b_up = (b_down + 1) % (1 << cfg.m)
 
+    weights, phases = np.array([row[:2] for row in decomp], dtype=float).T
     reps = cfg.repetitions_per_bit
     m = cfg.m
-    frontier: dict[int, float] = {0: 1.0}
+    v = np.zeros(1, dtype=np.int64)
+    mass = np.ones(1)
     pruned = 0.0
     peak = 1
     for k in range(m, 0, -1):
-        nxt: dict[int, float] = {}
-        for v, mass in frontier.items():
-            omega = -float(v) * 2.0 ** (k - m - 1)
-            p1 = _mixture_one_probability(decomp, k, omega)
-            q1 = _majority_tail(reps, p1)
-            for bit, q in ((1, q1), (0, 1.0 - q1)):
-                if q <= 0.0:
-                    continue
-                share = mass * q
-                if share < prune_tol:
-                    pruned += share
-                    continue
-                key = v + (bit << (m - k))
-                nxt[key] = nxt.get(key, 0.0) + share
-        frontier = nxt
-        peak = max(peak, len(frontier))
+        q1 = _majority_tail(reps, _voted_one_probability(weights, phases, k, m, v))
+        q = np.concatenate((q1, 1.0 - q1))
+        share = np.concatenate((mass, mass)) * q
+        live = q > 0.0
+        keep = live & (share >= prune_tol)
+        pruned += float(share[live & ~keep].sum())
+        v = np.concatenate((v + (1 << (m - k)), v))[keep]
+        mass = share[keep]
+        peak = max(peak, v.size)
 
-    prob = frontier.get(b_down, 0.0) + frontier.get(b_up, 0.0)
+    prob = float(mass[v == b_down].sum() + mass[v == b_up].sum())
     if return_detail:
         return prob, BSuccessDetail(prob, pruned, peak)
     return prob

@@ -1,9 +1,11 @@
 """Independent dense oracles used to cross-check the sparse kernels.
 
 Everything here is built from first principles (explicit matrices over
-occupation bitstrings) and deliberately shares no code with the package
-internals it validates.
+occupation bitstrings, scalar loops over histories) and deliberately
+shares no code with the package internals it validates.
 """
+import math
+
 import numpy as np
 
 from qfci.hamiltonian import PauliOperator
@@ -69,3 +71,45 @@ def dense_s_squared(n_orb: int) -> np.ndarray:
         n_b = dense_ladder(n, n_orb + p, True) @ dense_ladder(n, n_orb + p, False)
         s_z += 0.5 * (n_a - n_b)
     return s_plus.conj().T @ s_plus + s_z @ (s_z + np.eye(dim))
+
+
+def b_success_by_dict(weights, m: int, reps: int, b_down: int, b_up: int,
+                      prune_tol: float = 1e-12):
+    """Variant-B success probability by a dict of voted-bit histories.
+
+    Reference for the package's array recursion: one scalar Born
+    probability per history and eigencomponent, exact binomial majority
+    sums, and the same pruning rule.  weights holds (weight, phase-in-turns)
+    pairs; returns (probability, pruned mass, peak number of histories).
+    """
+    need = reps // 2 + 1
+
+    def majority(p):
+        q = 1.0 - p
+        return sum(math.comb(reps, j) * p**j * q ** (reps - j)
+                   for j in range(need, reps + 1))
+
+    frontier = {0: 1.0}
+    pruned = 0.0
+    peak = 1
+    for k in range(m, 0, -1):
+        nxt = {}
+        for v, mass in frontier.items():
+            omega = -float(v) * 2.0 ** (k - m - 1)
+            p1 = sum(
+                w * math.sin(math.pi * math.fmod(2.0 ** (k - 1) * phase + omega, 1.0)) ** 2
+                for w, phase in weights
+            )
+            q1 = majority(p1)
+            for bit, q in ((1, q1), (0, 1.0 - q1)):
+                if q <= 0.0:
+                    continue
+                share = mass * q
+                if share < prune_tol:
+                    pruned += share
+                    continue
+                key = v + (bit << (m - k))
+                nxt[key] = nxt.get(key, 0.0) + share
+        frontier = nxt
+        peak = max(peak, len(frontier))
+    return frontier.get(b_down, 0.0) + frontier.get(b_up, 0.0), pruned, peak

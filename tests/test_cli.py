@@ -208,6 +208,32 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "odd" in capsys.readouterr().err
 
+    def test_bits_beyond_float64_phase_rejected(self, tmp_path, capsys):
+        cfg_path = write_config(
+            tmp_path, ipea={"e_max": 1.0, "e_min": -1.5, "bits": 70, "seed": 7}
+        )
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "bits must be in 1..52" in capsys.readouterr().err
+        assert not (tmp_path / "scan.csv").exists()
+
+    def test_empty_repetition_counts_rejected(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, repetition_counts=[])
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "repetition_counts" in capsys.readouterr().err
+
+    def test_empty_window_rejected(self, tmp_path, capsys):
+        cfg_path = write_config(
+            tmp_path, ipea={"e_max": -1.5, "e_min": -1.5, "bits": 12, "seed": 7}
+        )
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "empty window" in capsys.readouterr().err
+
+    def test_malformed_json_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "scan_config.json"
+        cfg_path.write_text('{"ipea": {"e_max": 1.0,', encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "malformed JSON" in capsys.readouterr().err
+
     def test_missing_fcidump_rejected(self, tmp_path, capsys):
         cfg_path = write_config(
             tmp_path,

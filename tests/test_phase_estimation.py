@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qfci.errors import MissingSector, WeightNormalization
+from qfci.errors import IndexOutOfRange, MissingSector, WeightNormalization
+from qfci.guess import hf_determinant, random_sector_state
 from qfci.hamiltonian import FermionTerm, exact_eigensolve
 from qfci.phase_estimation import (
     IpeaConfig,
@@ -32,6 +33,8 @@ from qfci.statevector import (
     rz_phase,
 )
 
+from tests.oracles import b_success_by_dict
+
 EIGHT_OVER_PI_SQ = 8.0 / np.pi**2
 
 
@@ -50,6 +53,9 @@ class TestConfig:
     def test_validation(self, window):
         with pytest.raises(ValueError):
             IpeaConfig(window=window, m=0)
+        assert IpeaConfig(window=window, m=52).m == 52
+        with pytest.raises(ValueError, match="1..52"):
+            IpeaConfig(window=window, m=53)
         with pytest.raises(ValueError):
             IpeaConfig(window=window, variant="C")
         with pytest.raises(ValueError):
@@ -384,6 +390,36 @@ class TestIpeaVariantB:
         assert detail.probability == p
         assert 0.0 <= detail.pruned_mass < 1e-6
         assert detail.n_histories >= 1
+
+    @pytest.mark.parametrize("m", [3, 8, 12])
+    @pytest.mark.parametrize("reps", [1, 3, 11, 31, 51, 101])
+    @pytest.mark.parametrize("guess_seed", [None, 0, 1, 2])
+    def test_recursion_matches_dict_oracle(self, guess_seed, reps, m,
+                                           h2_spectrum_11, window):
+        if guess_seed is None:
+            guess = hf_determinant(2, 1, 1)
+        else:
+            guess = random_sector_state(2, (1, 1), np.random.default_rng(guess_seed))
+        sv = guess.to_statevector()
+        cfg = IpeaConfig(window=window, m=m, variant="B", repetitions_per_bit=reps)
+        p, detail = ipea_b_success_probability(
+            sv, [h2_spectrum_11], cfg, (0, 0), return_detail=True
+        )
+        decomp = state_decomposition(sv.amplitudes, [h2_spectrum_11], window)
+        b, _, _ = rounding_masses(window.phase_of(h2_spectrum_11.eigenvalues[0]), m)
+        p_ref, pruned_ref, peak_ref = b_success_by_dict(
+            [(w, ph) for w, ph, _, _ in decomp], m, reps, b, (b + 1) % (1 << m)
+        )
+        assert abs(p - p_ref) <= 1e-14
+        assert abs(detail.pruned_mass - pruned_ref) <= 1e-14
+        assert detail.n_histories == peak_ref
+
+    def test_raw_amplitudes_must_be_power_of_two(self, h2_spectrum_11, window):
+        cfg = IpeaConfig(window=window, m=4, variant="B", repetitions_per_bit=3)
+        with pytest.raises(IndexOutOfRange, match="power of two"):
+            ipea_b_success_probability(
+                np.full(6, 6**-0.5), [h2_spectrum_11], cfg, (0, 0)
+            )
 
     def test_sampler_weight_validation(self, window):
         cfg = IpeaConfig(window=window, m=4, variant="B", repetitions_per_bit=3)
