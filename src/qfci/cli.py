@@ -30,7 +30,9 @@ from .guess import (
 )
 from .hamiltonian import (
     build_second_quantized,
+    eigen_weights,
     exact_eigensolve,
+    jordan_wigner,
     sector_of,
 )
 from .integrals import (
@@ -38,7 +40,6 @@ from .integrals import (
     random_molecular_integrals,
     to_spin_orbitals,
 )
-from .hamiltonian import jordan_wigner
 from .phase_estimation import (
     IpeaConfig,
     ipea_a_run,
@@ -56,6 +57,8 @@ SEARCH_CAVEAT = (
     "energies outside [E_min, E_max] alias back into the window and can "
     "masquerade as low results"
 )
+# eigen-weight above which an eigenvalue counts as populated by the guess
+POPULATED_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -193,8 +196,60 @@ def _build_guess(desc: dict, mol, sector, rng) -> GuessState:
     raise QfciError(f"unknown guess kind {kind!r}")
 
 
+class _LastHamiltonian:
+    """Integrals, fermion terms and sector spectra of the latest FCIDUMP.
+
+    Consecutive scan points that share a file reuse them; a new path
+    replaces them, so at most one Hamiltonian is held.
+    """
+
+    def __init__(self):
+        self._release()
+
+    def _release(self):
+        self.path = self.mol = self.soi = self.terms = None
+        self.spectra: dict = {}
+
+    def load(self, path: Path):
+        """(molecule, spin-orbital integrals) of the file at path."""
+        if path != self.path:
+            # drop the previous Hamiltonian before building the next one
+            self._release()
+            self.mol = parse_fcidump(path)
+            self.soi = to_spin_orbitals(self.mol)
+            self.terms = build_second_quantized(self.soi)
+            self.path = path
+        return self.mol, self.soi
+
+    def spectrum(self, sector: tuple[int, int]):
+        if sector not in self.spectra:
+            self.spectra[sector] = exact_eigensolve(
+                self.terms, self.soi.n_so, sector
+            )
+        return self.spectra[sector]
+
+
+def _window_warning(label: str, sv, spectra, window: EvolutionWindow) -> str | None:
+    """Name the populated eigenvalue farthest outside (e_min, e_max], if any."""
+    weights, _ = eigen_weights(sv.amplitudes, spectra)
+    outside = []
+    for (b, i), w in weights.items():
+        energy = float(spectra[b].eigenvalues[i])
+        if w > POPULATED_TOL and not window.e_min < energy <= window.e_max:
+            outside.append((max(energy - window.e_max, window.e_min - energy), energy))
+    if not outside:
+        return None
+    margin, energy = max(outside)
+    return (
+        f"{label}: populated eigenvalue {energy:.10g} lies {margin:.3g} outside "
+        f"the window ({window.e_min:g}, {window.e_max:g}]; {len(outside)} "
+        f"populated eigenvalue(s) outside it alias into the window"
+    )
+
+
 def _evaluate_point(
     point: ScanPoint,
+    hamiltonian: _LastHamiltonian,
     cfg: IpeaConfig,
     reps_list: tuple[int, ...],
     seed_seq: np.random.SeedSequence,
@@ -204,15 +259,13 @@ def _evaluate_point(
     warnings: list[str] = []
     try:
         rng = np.random.default_rng(seed_seq)
-        mol = parse_fcidump(point.fcidump)
+        mol, soi = hamiltonian.load(point.fcidump)
         na, nb = point.sector
         if mol.n_elec != na + nb:
             warnings.append(
                 f"{point.label}: file electron count {mol.n_elec} "
                 f"differs from sector {na}+{nb}"
             )
-        soi = to_spin_orbitals(mol)
-        terms = build_second_quantized(soi)
         guess = _build_guess(point.guess, mol, point.sector, rng)
         sv = guess.to_statevector()
         if sv.n_qubits != soi.n_so:
@@ -223,9 +276,12 @@ def _evaluate_point(
         support = np.nonzero(sv.amplitudes)[0]
         sectors = {sector_of(int(i), mol.n_orb) for i in support}
         sectors.add(point.sector)
-        spectra = [exact_eigensolve(terms, soi.n_so, s) for s in sorted(sectors)]
+        spectra = [hamiltonian.spectrum(s) for s in sorted(sectors)]
         block = sorted(sectors).index(point.sector)
         target = (block, point.target)
+        outside = _window_warning(point.label, sv, spectra, cfg.window)
+        if outside:
+            warnings.append(outside)
 
         fci_energy = float(spectra[block].eigenvalues[point.target])
         u_target = spectra[block].embed(point.target, soi.n_so)
@@ -304,8 +360,11 @@ def _fmt(x) -> str:
 def run_scan(cfg: ScanConfig, search_runs: int = 0) -> dict:
     """Evaluate all points, write CSV + JSON sidecar, return the report."""
     seeds = np.random.SeedSequence(cfg.master_seed).spawn(max(1, len(cfg.points)))
+    hamiltonian = _LastHamiltonian()
     outcomes = [
-        _evaluate_point(point, cfg.ipea, cfg.repetition_counts, seed_seq, search_runs)
+        _evaluate_point(
+            point, hamiltonian, cfg.ipea, cfg.repetition_counts, seed_seq, search_runs
+        )
         for point, seed_seq in zip(cfg.points, seeds)
     ]
     points = [row for row, _ in outcomes]

@@ -8,7 +8,7 @@ fermionic parity sign of mode p acting on a determinant is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
 
 import numpy as np
@@ -19,6 +19,8 @@ from .integrals import SpinOrbitalIntegrals
 # Pauli strings below this magnitude are dropped during mapping
 PRUNE_TOL = 1e-14
 SECTOR_CAP = 20_000
+# Elements per (terms x determinants) temporary in the sector build
+CHUNK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -270,18 +272,65 @@ class SectorSpectrum:
         return full
 
 
-def _apply_term_to_det(ops, mask: int) -> tuple[int, int] | None:
-    """Walk ladder ops right-to-left over a determinant; None if killed."""
-    sign = 1
-    for mode, creation in reversed(ops):
-        bit = 1 << mode
-        occupied = bool(mask & bit)
-        if creation == occupied:
-            return None
-        if (mask & (bit - 1)).bit_count() & 1:
-            sign = -sign
-        mask ^= bit
-    return mask, sign
+def _term_runs(terms: list[FermionTerm], n_so: int):
+    """Consecutive runs of equal op length as (modes, creation, coef) arrays.
+
+    modes and creation are [T, k] with ops leftmost first, coef is [T];
+    term order is kept.  Modes outside 0..n_so-1 raise DimensionMismatch.
+    """
+    runs = []
+    for k, run in groupby(terms, key=lambda t: len(t.ops)):
+        run = list(run)
+        ops = np.array([t.ops for t in run], dtype=np.int64).reshape(len(run), k, 2)
+        modes = ops[:, :, 0]
+        bad = np.nonzero((modes < 0) | (modes >= n_so))[0]
+        if bad.size:
+            raise DimensionMismatch(
+                f"term {run[bad[0]].ops} touches a mode outside 0..{n_so - 1}"
+            )
+        coef = np.array([t.coefficient for t in run], dtype=np.float64)
+        runs.append((modes, ops[:, :, 1].astype(bool), coef))
+    return runs
+
+
+def _sector_matrix(
+    terms: list[FermionTerm], n_so: int, dets: np.ndarray, sector
+) -> np.ndarray:
+    """Dense H over the sorted determinants, built over (terms x dets) blocks.
+
+    Ladder ops act right to left on every determinant of a block at once;
+    contributions are added in term order, so each cell sums exactly as a
+    per-determinant, per-term loop would.
+    """
+    dim = dets.size
+    flat = np.zeros(dim * dim)
+    step = max(1, CHUNK_ELEMENTS // max(dim, 1))
+    for modes, creation, coef in _term_runs(terms, n_so):
+        for lo in range(0, coef.size, step):
+            block = slice(lo, lo + step)
+            bits = np.left_shift(1, modes[block])
+            flags = creation[block]
+            state = np.repeat(dets[None, :], bits.shape[0], axis=0)
+            alive = np.ones(state.shape, dtype=bool)
+            parity = np.zeros(state.shape, dtype=np.uint8)
+            for o in range(bits.shape[1] - 1, -1, -1):
+                bit = bits[:, o, None]
+                alive &= ((state & bit) != 0) != flags[:, o, None]
+                parity ^= np.bitwise_count(state & (bit - 1))
+                state ^= bit
+            t, j = np.nonzero(alive)
+            out = state[t, j]
+            i = np.minimum(np.searchsorted(dets, out), dim - 1)
+            lost = np.nonzero(dets[i] != out)[0]
+            if lost.size:
+                # term left the sector; molecular terms never do
+                raise DimensionMismatch(
+                    f"term maps determinant {int(dets[j[lost[0]]]):#x} "
+                    f"out of sector {sector}"
+                )
+            signs = 1.0 - 2.0 * (parity[t, j] & 1)
+            np.add.at(flat, i * dim + j, coef[block][t] * signs)
+    return flat.reshape(dim, dim)
 
 
 def exact_eigensolve(
@@ -296,30 +345,14 @@ def exact_eigensolve(
     dim = comb(n_orb, n_alpha) * comb(n_orb, n_beta)
     if dim > cap:
         raise SectorTooLarge(f"sector {sector} has dimension {dim} > cap {cap}")
-    dets = enumerate_sector(n_orb, n_alpha, n_beta)
-    index = {d: i for i, d in enumerate(dets)}
-
-    mat = np.zeros((dim, dim))
-    for j, det in enumerate(dets):
-        for term in terms:
-            hit = _apply_term_to_det(term.ops, det)
-            if hit is None:
-                continue
-            out_mask, sign = hit
-            i = index.get(out_mask)
-            if i is None:
-                # term left the sector; molecular terms never do
-                raise DimensionMismatch(
-                    f"term maps determinant {det:#x} out of sector {sector}"
-                )
-            mat[i, j] += sign * term.coefficient
-
+    dets = np.array(enumerate_sector(n_orb, n_alpha, n_beta), dtype=np.int64)
+    mat = _sector_matrix(terms, n_so, dets, sector)
     eigenvalues, eigenvectors = np.linalg.eigh(mat)
     return SectorSpectrum(
         sector=sector,
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
-        determinants=np.array(dets, dtype=np.int64),
+        determinants=dets,
     )
 
 

@@ -52,11 +52,6 @@ class EvolutionWindow:
     def energy_of(self, phase: float) -> float:
         return self.e_max - phase * self.width
 
-    @property
-    def resolution(self) -> float:
-        """Energy step of one last-bit increment at 20 fractional bits."""
-        return self.width / (1 << 20)
-
 
 @dataclass(frozen=True)
 class TrotterPlan:

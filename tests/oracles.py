@@ -5,6 +5,7 @@ occupation bitstrings, scalar loops over histories) and deliberately
 shares no code with the package internals it validates.
 """
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -113,3 +114,33 @@ def b_success_by_dict(weights, m: int, reps: int, b_down: int, b_up: int,
         frontier = nxt
         peak = max(peak, len(frontier))
     return frontier.get(b_down, 0.0) + frontier.get(b_up, 0.0), pruned, peak
+
+
+def sector_matrix_by_loop(terms, n_so: int, sector) -> np.ndarray:
+    """Dense sector matrix by a scalar loop over determinants x terms.
+
+    Determinants are the ascending bitmasks of the (n_alpha, n_beta)
+    sector; each column walks every term's ladder ops right to left.
+    """
+    n_orb = n_so // 2
+    n_alpha, n_beta = sector
+    dets = sorted(
+        sum(1 << p for p in a) | sum(1 << (n_orb + p) for p in b)
+        for a in combinations(range(n_orb), n_alpha)
+        for b in combinations(range(n_orb), n_beta)
+    )
+    index = {d: i for i, d in enumerate(dets)}
+    mat = np.zeros((len(dets), len(dets)))
+    for j, det in enumerate(dets):
+        for term in terms:
+            mask, sign = det, 1
+            for mode, creation in reversed(term.ops):
+                bit = 1 << mode
+                if creation == bool(mask & bit):
+                    break
+                if (mask & (bit - 1)).bit_count() & 1:
+                    sign = -sign
+                mask ^= bit
+            else:
+                mat[index[mask], j] += sign * term.coefficient
+    return mat

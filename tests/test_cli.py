@@ -203,6 +203,48 @@ class TestRunCommand:
         assert report["points"][0]["status"] == "ok"
         assert len(report["warnings"]) == 1
 
+    def test_points_sharing_a_file_warn_per_point(self, tmp_path):
+        h2 = str(FIXTURES / "h2_sto3g_r1.4011.fcidump")
+        points = [
+            {"label": label, "fcidump": h2, "guess": {"kind": "hf"},
+             "sector": sector, "target": 0}
+            for label, sector in (("a", [1, 1]), ("cation", [1, 0]), ("b", [1, 1]))
+        ]
+        cfg_path = write_config(tmp_path, points=points)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        report = json.loads((tmp_path / "scan.json").read_text())
+        assert [p["status"] for p in report["points"]] == ["ok"] * 3
+        assert len(report["warnings"]) == 1
+        assert report["warnings"][0].startswith("cation:")
+        energies = [p["fci_energy"] for p in report["points"]]
+        assert energies[0] == energies[2]
+        assert energies[0] == pytest.approx(H2_SECTOR_11_EIGENVALUES[0], abs=1e-10)
+
+    def test_window_not_bracketing_spectrum_warns(self, tmp_path, capsys):
+        cfg_path = write_config(
+            tmp_path,
+            ipea={"e_max": -0.5, "e_min": -1.0, "bits": 12, "seed": 3},
+            points=[
+                {
+                    "label": "rand",
+                    "fcidump": str(FIXTURES / "h2_sto3g_r1.4011.fcidump"),
+                    "guess": {"kind": "random"},
+                    "sector": [1, 1],
+                    "target": 0,
+                }
+            ],
+        )
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert "outside the window" in capsys.readouterr().err
+        report = json.loads((tmp_path / "scan.json").read_text())
+        assert report["points"][0]["status"] == "ok"
+        (warning,) = report["warnings"]
+        # the highest (1,1) eigenvalue is the farthest outside (-1.0, -0.5]
+        top = H2_SECTOR_11_EIGENVALUES[-1]
+        assert warning.startswith("rand: populated eigenvalue")
+        assert f"{top:.10g}" in warning
+        assert f"{top + 0.5:.3g}" in warning
+
     def test_even_repetition_count_rejected(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, repetition_counts=[2])
         assert main(["run", "--config", str(cfg_path)]) == 2

@@ -3,6 +3,7 @@ import pytest
 
 from qfci.errors import DimensionMismatch, SectorTooLarge
 from qfci.hamiltonian import (
+    CHUNK_ELEMENTS,
     FermionTerm,
     PauliOperator,
     PauliString,
@@ -18,7 +19,12 @@ from qfci.hamiltonian import (
 )
 from qfci.integrals import random_molecular_integrals, to_spin_orbitals
 from tests.conftest import H2_SECTOR_11_EIGENVALUES
-from tests.oracles import dense_fermion, dense_ladder, dense_pauli
+from tests.oracles import (
+    dense_fermion,
+    dense_ladder,
+    dense_pauli,
+    sector_matrix_by_loop,
+)
 
 
 class TestBuildSecondQuantized:
@@ -237,6 +243,48 @@ class TestExactEigensolve:
     def test_sector_too_large(self, h2_terms):
         with pytest.raises(SectorTooLarge):
             exact_eigensolve(h2_terms, 4, (1, 1), cap=3)
+
+    def test_mode_out_of_range(self):
+        with pytest.raises(DimensionMismatch):
+            exact_eigensolve([FermionTerm(1.0, ((10, True), (10, False)))], 4, (1, 1))
+
+    def test_term_leaving_sector(self):
+        with pytest.raises(DimensionMismatch):
+            exact_eigensolve([FermionTerm(1.0, ((0, True),))], 4, (1, 1))
+
+
+def _random_terms(n_orb: int, seed: int):
+    mol = random_molecular_integrals(n_orb, np.random.default_rng(seed))
+    return build_second_quantized(to_spin_orbitals(mol))
+
+
+ORACLE_CASES = [
+    pytest.param(system, n_so, sector, id=f"{system}-{sector[0]}{sector[1]}")
+    for system, n_so, sectors in (
+        ("h2", 4, [(a, b) for a in range(3) for b in range(3)]),
+        ("random3", 6, [(1, 1), (2, 1)]),
+        ("random4", 8, [(2, 2), (3, 1)]),
+        ("random5", 10, [(2, 2), (3, 2)]),
+    )
+    for sector in sectors
+]
+
+
+class TestSectorBuildOracle:
+    @pytest.mark.parametrize("system,n_so,sector", ORACLE_CASES)
+    def test_matches_loop_build_exactly(self, h2_terms, system, n_so, sector):
+        terms = h2_terms if system == "h2" else _random_terms(n_so // 2, 20 + n_so)
+        spec = exact_eigensolve(terms, n_so, sector)
+        eigenvalues, eigenvectors = np.linalg.eigh(
+            sector_matrix_by_loop(terms, n_so, sector)
+        )
+        assert np.array_equal(spec.eigenvalues, eigenvalues)
+        assert np.array_equal(spec.eigenvectors, eigenvectors)
+
+    def test_largest_case_spans_several_chunks(self):
+        terms = _random_terms(5, 30)
+        dim = len(enumerate_sector(5, 3, 2))
+        assert dim * len(terms) > 8 * CHUNK_ELEMENTS
 
 
 class TestSpectraHelpers:

@@ -55,10 +55,6 @@ class TestEvolutionWindow:
         with pytest.raises(ValueError):
             EvolutionWindow(e_max=-1.0, e_min=1.0)
 
-    def test_resolution(self):
-        w = EvolutionWindow(e_max=-37.5, e_min=-39.0)
-        assert w.resolution == pytest.approx(1.43e-6, rel=2e-3)
-
 
 class TestExactPropagator:
     def test_spectral_phases(self, h2_terms, h2_full_spectra, window):
