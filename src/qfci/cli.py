@@ -117,13 +117,17 @@ def load_scan_config(path: str | Path, overrides: dict | None = None) -> ScanCon
     for r in reps_list:
         if r < 1 or r % 2 == 0:
             raise QfciError(f"repetition counts must be odd, got {r}")
+    repeats = ipea_raw.get("whole_run_repeats", 1)
+    if repeats != 1:
+        raise QfciError(
+            f"ipea.whole_run_repeats: a scan runs each point once, got {repeats!r}"
+        )
     try:
         cfg = IpeaConfig(
             window=EvolutionWindow(e_max=e_max, e_min=e_min),
             m=bits,
             variant=variant,
             repetitions_per_bit=int(ipea_raw.get("repetitions_per_bit", reps_list[0])),
-            whole_run_repeats=int(ipea_raw.get("whole_run_repeats", 1)),
             rng_seed=seed,
         )
     except ValueError as exc:

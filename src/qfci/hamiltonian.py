@@ -7,8 +7,9 @@ fermionic parity sign of mode p acting on a determinant is
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import chain, combinations, groupby
 from math import comb
 
 import numpy as np
@@ -21,6 +22,13 @@ PRUNE_TOL = 1e-14
 SECTOR_CAP = 20_000
 # Elements per (terms x determinants) temporary in the sector build
 CHUNK_ELEMENTS = 1 << 14
+# Mask components per block in Jordan-Wigner; each block is merged into
+# the running key set with one sort, so larger blocks mean fewer sorts
+JW_CHUNK_ELEMENTS = 1 << 16
+# int64 masks with headroom for the sign bit
+MAX_JW_MODES = 62
+# i**n for n = 0..3
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 @dataclass(frozen=True)
@@ -55,10 +63,73 @@ class PauliString:
         return "".join(letters)
 
 
-@dataclass
+def _factors(x: int, z: int) -> tuple[tuple[int, str], ...]:
+    """Sorted (qubit, letter) factors of the labeled string with masks x, z."""
+    factors = []
+    rest = x | z
+    while rest:
+        low = rest & -rest
+        letter = "Y" if x & z & low else "X" if x & low else "Z"
+        factors.append((low.bit_length() - 1, letter))
+        rest ^= low
+    return tuple(factors)
+
+
+class _StringView(Sequence):
+    """PauliString objects of an operator, built only when read."""
+
+    def __init__(self, op: "PauliOperator"):
+        self._op = op
+
+    def __len__(self) -> int:
+        return self._op.x.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        op = self._op
+        return PauliString(complex(op.coeffs[i]), _factors(int(op.x[i]), int(op.z[i])))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 class PauliOperator:
-    n_qubits: int
-    terms: list[PauliString]
+    """sum_i coeffs[i] * (labeled Pauli string i) on n_qubits qubits.
+
+    String i carries X on the bits of x[i] & ~z[i], Y on x[i] & z[i] and
+    Z on z[i] & ~x[i] (int64 masks, qubit j = bit j); coeffs[i] is the
+    coefficient of that labeled string.  ``terms`` is a PauliString view
+    of the same arrays.
+    """
+
+    def __init__(self, n_qubits: int, strings: Iterable[PauliString] = ()):
+        xs, zs, coeffs = [], [], []
+        for s in strings:
+            x = z = 0
+            for q, letter in s.factors:
+                if letter != "Z":
+                    x |= 1 << q
+                if letter != "X":
+                    z |= 1 << q
+            xs.append(x)
+            zs.append(z)
+            coeffs.append(s.coefficient)
+        self.n_qubits = n_qubits
+        self.x = np.array(xs, dtype=np.int64)
+        self.z = np.array(zs, dtype=np.int64)
+        self.coeffs = np.array(coeffs, dtype=np.complex128)
+
+    @classmethod
+    def from_masks(cls, n_qubits: int, x: np.ndarray, z: np.ndarray,
+                   coeffs: np.ndarray) -> "PauliOperator":
+        op = cls(n_qubits)
+        op.x, op.z, op.coeffs = x, z, coeffs
+        return op
+
+    @property
+    def terms(self) -> _StringView:
+        return _StringView(self)
 
     def to_text(self) -> str:
         """One line per string: coefficient then Pauli word (qubit 0 leftmost)."""
@@ -97,88 +168,90 @@ def build_second_quantized(soi: SpinOrbitalIntegrals) -> list[FermionTerm]:
 #
 # Strings are carried as (x_mask, z_mask) for the operator X^x Z^z; the
 # product rule picks up (-1)^popcount(z1 & x2).  A mode's ladder operator
-# maps to (Z-chain) * (X -+ iY)/2, i.e. two mask components.
+# maps to (Z-chain) * (X -+ iY)/2, i.e. two mask components,
+# (1/2, bit, chain) and (+-1/2, bit, chain | bit).
 
 
-def _ladder_components(mode: int, creation: bool):
-    bit = 1 << mode
-    chain = bit - 1
-    # a+ = chain * (X + XZ)/2,  a = chain * (X - XZ)/2
-    sign = 0.5 if creation else -0.5
-    return ((0.5, bit, chain), (sign, bit, chain | bit))
+def _term_components(modes: np.ndarray, creation: np.ndarray, coef: np.ndarray):
+    """Pauli sums of a block of k-op terms as (x, z, value), in term order.
+
+    Each term expands into its 2^k mask components, ops leftmost first.
+    All components of one term share x and have magnitude |coef| / 2^k,
+    so components with the same z are summed as integer signs, exactly.
+    """
+    k = modes.shape[1]
+    bits = np.left_shift(1, modes)
+    z = np.zeros((coef.size, 1), dtype=np.int64)
+    sign = np.ones((coef.size, 1), dtype=np.int8)
+    for o in range(k):
+        bit = bits[:, o, None]
+        sign = np.where(z & bit, -sign, sign)
+        z = z ^ (bit - 1)
+        z = np.concatenate((z, z ^ bit), axis=1)
+        sign = np.concatenate((sign, np.where(creation[:, o, None], sign, -sign)), axis=1)
+    order = np.argsort(z, axis=1)
+    z = np.take_along_axis(z, order, axis=1).ravel()
+    sign = np.take_along_axis(sign, order, axis=1).ravel()
+    start = np.ones(z.size, dtype=bool)
+    start[1:] = z[1:] != z[:-1]
+    start[:: 1 << k] = True
+    first = np.flatnonzero(start)
+    count = np.add.reduceat(sign, first, dtype=np.int64)
+    live = count != 0
+    first, count = first[live], count[live]
+    term = first >> k
+    x = np.bitwise_xor.reduce(bits, axis=1)
+    return x[term], z[first], count * (coef[term] * 0.5**k)
 
 
-def _term_to_masks(term: FermionTerm) -> dict[tuple[int, int], complex]:
-    acc = {(0, 0): complex(term.coefficient)}
-    for mode, creation in term.ops:
-        nxt: dict[tuple[int, int], complex] = {}
-        for (x1, z1), c1 in acc.items():
-            for c2, x2, z2 in _ladder_components(mode, creation):
-                sign = -1.0 if ((z1 & x2).bit_count() & 1) else 1.0
-                key = (x1 ^ x2, z1 ^ z2)
-                nxt[key] = nxt.get(key, 0.0) + c1 * c2 * sign
-        acc = nxt
-    return acc
-
-
-def _masks_to_string(x: int, z: int, coeff: complex) -> PauliString:
-    y = x & z
-    # X^x Z^z = (-i)^popcount(y) * labeled string
-    labeled = coeff * (-1j) ** y.bit_count()
-    factors = []
-    q = 0
-    rest = x | z
-    while rest:
-        if rest & 1:
-            bit = 1 << q
-            if x & bit and z & bit:
-                factors.append((q, "Y"))
-            elif x & bit:
-                factors.append((q, "X"))
-            else:
-                factors.append((q, "Z"))
-        rest >>= 1
-        q += 1
-    return PauliString(labeled, tuple(factors))
+def _union_keys(kx, kz, bx, bz):
+    """Sorted unique (x, z) keys of both sets and each entry's position in them."""
+    x = np.concatenate((kx, bx))
+    z = np.concatenate((kz, bz))
+    # by z, then stably by x: (x, z) order; equal pairs may come in any order
+    order = np.argsort(z)
+    order = order[np.argsort(x[order], kind="stable")]
+    x, z = x[order], z[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+    pos = np.empty(order.size, dtype=np.int64)
+    pos[order] = np.cumsum(new) - 1
+    return x[new], z[new], pos[: kx.size], pos[kx.size:]
 
 
 def jordan_wigner(terms: list[FermionTerm], n_modes: int) -> PauliOperator:
-    """Map fermionic terms to a merged Pauli operator on n_modes qubits."""
-    merged: dict[tuple[int, int], complex] = {}
-    for term in terms:
-        for (x, z), c in _term_to_masks(term).items():
-            if x >> n_modes or z >> n_modes:
-                raise DimensionMismatch(
-                    f"term touches mode beyond n_modes={n_modes}"
-                )
-            key = (x, z)
-            merged[key] = merged.get(key, 0.0) + c
-    strings = [
-        _masks_to_string(x, z, c)
-        for (x, z), c in sorted(merged.items())
-        if abs(c) > PRUNE_TOL
-    ]
-    return PauliOperator(n_modes, strings)
+    """Map fermionic terms to a merged Pauli operator on n_modes qubits.
+
+    Terms are expanded in blocks of at most JW_CHUNK_ELEMENTS mask
+    components; each block's per-term sums are added into the merged
+    coefficients in term order, so every coefficient sums exactly as a
+    term-by-term dict merge would.  Strings at or below PRUNE_TOL are
+    dropped and the rest ordered by (x, z).
+    """
+    if n_modes > MAX_JW_MODES:
+        raise DimensionMismatch(
+            f"n_modes={n_modes} exceeds the {MAX_JW_MODES}-mode mask width"
+        )
+    kx = kz = np.zeros(0, dtype=np.int64)
+    acc = np.zeros(0)
+    for modes, creation, coef in _term_runs(terms, n_modes):
+        step = max(1, JW_CHUNK_ELEMENTS >> modes.shape[1])
+        for lo in range(0, coef.size, step):
+            block = slice(lo, lo + step)
+            bx, bz, value = _term_components(modes[block], creation[block], coef[block])
+            kx, kz, old, new = _union_keys(kx, kz, bx, bz)
+            merged = np.zeros(kx.size)
+            merged[old] = acc
+            np.add.at(merged, new, value)
+            acc = merged
+    keep = np.abs(acc) > PRUNE_TOL
+    x, z = kx[keep], kz[keep]
+    # X^x Z^z = (-i)^popcount(x & z) * labeled string
+    coeffs = acc[keep] * _I_POWERS[np.bitwise_count(x & z) & 3].conj()
+    return PauliOperator.from_masks(n_modes, x, z, coeffs)
 
 
 # -- matrix-free application --------------------------------------------
-
-
-def _string_masks(s: PauliString) -> tuple[int, int, complex]:
-    x = z = 0
-    ny = 0
-    for q, p in s.factors:
-        bit = 1 << q
-        if p == "X":
-            x |= bit
-        elif p == "Z":
-            z |= bit
-        else:
-            x |= bit
-            z |= bit
-            ny += 1
-    # labeled coefficient -> X^x Z^z coefficient
-    return x, z, s.coefficient * (1j) ** ny
 
 
 def apply_ladder(amps: np.ndarray, mode: int, creation: bool) -> np.ndarray:
@@ -212,8 +285,9 @@ def apply_operator(op, state: np.ndarray) -> np.ndarray:
         if op.n_qubits != n:
             raise DimensionMismatch(f"operator on {op.n_qubits} qubits, state on {n}")
         idx = np.arange(dim)
-        for s in op.terms:
-            x, z, c = _string_masks(s)
+        # labeled coefficient -> X^x Z^z coefficient
+        masked = op.coeffs * _I_POWERS[np.bitwise_count(op.x & op.z) & 3]
+        for x, z, c in zip(op.x.tolist(), op.z.tolist(), masked.tolist()):
             signs = 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
             out[idx ^ x] += c * signs * amps
         return out
@@ -281,14 +355,17 @@ def _term_runs(terms: list[FermionTerm], n_so: int):
     runs = []
     for k, run in groupby(terms, key=lambda t: len(t.ops)):
         run = list(run)
-        ops = np.array([t.ops for t in run], dtype=np.int64).reshape(len(run), k, 2)
+        ops = np.fromiter(
+            chain.from_iterable(chain.from_iterable(t.ops for t in run)),
+            dtype=np.int64, count=len(run) * k * 2,
+        ).reshape(len(run), k, 2)
         modes = ops[:, :, 0]
         bad = np.nonzero((modes < 0) | (modes >= n_so))[0]
         if bad.size:
             raise DimensionMismatch(
                 f"term {run[bad[0]].ops} touches a mode outside 0..{n_so - 1}"
             )
-        coef = np.array([t.coefficient for t in run], dtype=np.float64)
+        coef = np.fromiter((t.coefficient for t in run), dtype=np.float64, count=len(run))
         runs.append((modes, ops[:, :, 1].astype(bool), coef))
     return runs
 
@@ -372,12 +449,27 @@ def spectra_for_state(
     return [exact_eigensolve(terms, n_so, s, cap=cap) for s in sectors]
 
 
+def _require_disjoint(spectra: list[SectorSpectrum]) -> None:
+    """DimensionMismatch if two blocks share a determinant.
+
+    A single block needs no check, which keeps the per-bit propagator
+    calls of one-sector scans free of it.
+    """
+    if len(spectra) < 2:
+        return
+    dets = np.concatenate([np.asarray(b.determinants) for b in spectra])
+    if np.unique(dets).size != dets.size:
+        raise DimensionMismatch("supplied spectra share a determinant")
+
+
 def eigen_weights(amplitudes: np.ndarray, spectra: list[SectorSpectrum]):
     """Decompose a register state over block eigenvectors.
 
     Returns (weights, covered) where weights[(block, column)] = |<u|psi>|^2
-    and covered is the total probability accounted for.
+    and covered is the total probability accounted for.  Blocks that
+    share a determinant raise DimensionMismatch.
     """
+    _require_disjoint(spectra)
     amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
     weights: dict[tuple[int, int], float] = {}
     covered = 0.0

@@ -15,9 +15,8 @@ import numpy as np
 from .errors import MissingSector
 from .hamiltonian import (
     FermionTerm,
-    PauliOperator,
     SectorSpectrum,
-    _string_masks,
+    _require_disjoint,
     jordan_wigner,
 )
 from .statevector import StateVector
@@ -101,8 +100,10 @@ def u_power_exact(
     """U**power via eigenphase multiplication, in place.
 
     The spectra must cover (up to UNCOVERED_TOL of probability) every
-    determinant the state populates, else MissingSector.
+    determinant the state populates, else MissingSector; blocks that
+    share a determinant raise DimensionMismatch.
     """
+    _require_disjoint(spectra)
     amps = state.amplitudes
     total = float(np.sum(np.abs(amps) ** 2))
     covered = 0.0
@@ -124,6 +125,7 @@ def controlled_u_power_exact(
     control: int,
 ) -> StateVector:
     """Controlled-U**power on a joint readout+system register, in place."""
+    _require_disjoint(spectra)
     amps = state.amplitudes
     n = state.n_qubits
     view = amps.reshape(1 << (n - control - 1), 2, 1 << control)
@@ -193,16 +195,11 @@ def _group_strings(group: list[FermionTerm], n_qubits: int):
     Coefficients are those of the labeled (Hermitian) strings and must
     come out real; they do for any Hermitian-grouped real Hamiltonian.
     """
-    op: PauliOperator = jordan_wigner(group, n_qubits)
-    out = []
-    for s in op.terms:
-        x, z, c_mask = _string_masks(s)
-        ny = (x & z).bit_count()
-        c = c_mask * (-1j) ** ny  # back to the labeled-string coefficient
-        if abs(c.imag) > 1e-12:
-            raise ValueError("Hermitian group mapped to a complex Pauli coefficient")
-        out.append((x, z, ny, float(c.real)))
-    return out
+    op = jordan_wigner(group, n_qubits)
+    if np.any(np.abs(op.coeffs.imag) > 1e-12):
+        raise ValueError("Hermitian group mapped to a complex Pauli coefficient")
+    ny = np.bitwise_count(op.x & op.z)
+    return list(zip(op.x.tolist(), op.z.tolist(), ny.tolist(), op.coeffs.real.tolist()))
 
 
 def trotter_u(

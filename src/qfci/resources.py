@@ -59,20 +59,31 @@ class GateCounts:
         }
 
 
-def count_string_exponential(s: PauliString, controlled: bool = False) -> GateCounts:
-    """Gate cost of one e^{i theta s} under the ladder template."""
-    weight = len(s.factors)
-    if weight == 0:
-        raise EmptyString("cannot exponentiate the identity string as a circuit")
-    n_x = sum(1 for _, letter in s.factors if letter == "X")
-    n_y = sum(1 for _, letter in s.factors if letter == "Y")
+def _slice_counts(op: PauliOperator, controlled: bool) -> GateCounts:
+    """Ladder-template gates for every string of op, read from its masks.
+
+    Identity strings (x = z = 0) cost nothing: every other count is a
+    popcount, which is 0 for them.
+    """
+    x, z = op.x, op.z
+    n_strings = int(np.count_nonzero(x | z))
+    weight = int(np.bitwise_count(x | z).sum(dtype=np.int64))
+    n_x = int(np.bitwise_count(x & ~z).sum(dtype=np.int64))
+    n_y = int(np.bitwise_count(x & z).sum(dtype=np.int64))
     return GateCounts(
         hadamard=2 * n_x,
-        cnot=2 * (weight - 1),
+        cnot=2 * (weight - n_strings),
         rx=2 * n_y,
-        rz=0 if controlled else 1,
-        controlled_rz=1 if controlled else 0,
+        rz=0 if controlled else n_strings,
+        controlled_rz=n_strings if controlled else 0,
     )
+
+
+def count_string_exponential(s: PauliString, controlled: bool = False) -> GateCounts:
+    """Gate cost of one e^{i theta s} under the ladder template."""
+    if not s.factors:
+        raise EmptyString("cannot exponentiate the identity string as a circuit")
+    return _slice_counts(PauliOperator(1 + max(q for q, _ in s.factors), [s]), controlled)
 
 
 def count_controlled_u(op: PauliOperator) -> GateCounts:
@@ -82,22 +93,12 @@ def count_controlled_u(op: PauliOperator) -> GateCounts:
     the control qubit that merges with the feedback rotation already in
     the circuit, so they cost nothing extra.
     """
-    counts = GateCounts()
-    for s in op.terms:
-        if len(s.factors) == 0:
-            continue
-        counts = counts + count_string_exponential(s, controlled=True)
-    return counts
+    return _slice_counts(op, controlled=True)
 
 
 def count_u(op: PauliOperator) -> GateCounts:
     """Gates for one uncontrolled Trotter slice (identity = global phase)."""
-    counts = GateCounts()
-    for s in op.terms:
-        if len(s.factors) == 0:
-            continue
-        counts = counts + count_string_exponential(s, controlled=False)
-    return counts
+    return _slice_counts(op, controlled=False)
 
 
 def fci_dimension(n_orb: int, n_alpha: int, n_beta: int) -> int:

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from qfci.hamiltonian import PauliOperator
+from qfci.hamiltonian import PauliOperator, PauliString
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -144,3 +144,48 @@ def sector_matrix_by_loop(terms, n_so: int, sector) -> np.ndarray:
             else:
                 mat[index[mask], j] += sign * term.coefficient
     return mat
+
+
+def jordan_wigner_by_dict(terms, n_modes: int) -> PauliOperator:
+    """Jordan-Wigner by a dict of (x_mask, z_mask) -> coefficient per term.
+
+    Reference for the package's array kernel.  Each ladder operator is
+    the Z chain below its mode times (X -+ iY)/2, i.e. two mask
+    components; the product of X^x1 Z^z1 and X^x2 Z^z2 picks up
+    (-1)^popcount(z1 & x2).  Terms are merged in order, strings below
+    1e-14 are dropped and the rest sorted by (x, z).
+    """
+    merged = {}
+    for term in terms:
+        acc = {(0, 0): complex(term.coefficient)}
+        for mode, creation in term.ops:
+            bit = 1 << mode
+            chain = bit - 1
+            sign2 = 0.5 if creation else -0.5
+            nxt = {}
+            for (x1, z1), c1 in acc.items():
+                for c2, x2, z2 in ((0.5, bit, chain), (sign2, bit, chain | bit)):
+                    sign = -1.0 if ((z1 & x2).bit_count() & 1) else 1.0
+                    key = (x1 ^ x2, z1 ^ z2)
+                    nxt[key] = nxt.get(key, 0.0) + c1 * c2 * sign
+            acc = nxt
+        for (x, z), c in acc.items():
+            if x >> n_modes or z >> n_modes:
+                raise ValueError(f"term touches mode beyond n_modes={n_modes}")
+            merged[(x, z)] = merged.get((x, z), 0.0) + c
+    strings = []
+    for (x, z), c in sorted(merged.items()):
+        if abs(c) <= 1e-14:
+            continue
+        factors = []
+        for q in range(max(x | z, 1).bit_length()):
+            bit = 1 << q
+            if x & z & bit:
+                factors.append((q, "Y"))
+            elif x & bit:
+                factors.append((q, "X"))
+            elif z & bit:
+                factors.append((q, "Z"))
+        # X^x Z^z = (-i)^popcount(x & z) * labeled string
+        strings.append(PauliString(c * (-1j) ** (x & z).bit_count(), tuple(factors)))
+    return PauliOperator(n_modes, strings)

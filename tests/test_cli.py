@@ -270,6 +270,16 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "empty window" in capsys.readouterr().err
 
+    def test_whole_run_repeats_rejected(self, tmp_path, capsys):
+        cfg_path = write_config(
+            tmp_path,
+            ipea={"e_max": 1.0, "e_min": -1.5, "bits": 12, "seed": 7,
+                  "whole_run_repeats": 3},
+        )
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "whole_run_repeats" in capsys.readouterr().err
+        assert not (tmp_path / "scan.csv").exists()
+
     def test_malformed_json_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "scan_config.json"
         cfg_path.write_text('{"ipea": {"e_max": 1.0,', encoding="utf-8")

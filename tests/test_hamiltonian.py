@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qfci.hamiltonian as hamiltonian
 from qfci.errors import DimensionMismatch, SectorTooLarge
 from qfci.hamiltonian import (
     CHUNK_ELEMENTS,
+    JW_CHUNK_ELEMENTS,
     FermionTerm,
     PauliOperator,
     PauliString,
@@ -23,6 +27,7 @@ from tests.oracles import (
     dense_fermion,
     dense_ladder,
     dense_pauli,
+    jordan_wigner_by_dict,
     sector_matrix_by_loop,
 )
 
@@ -109,6 +114,97 @@ class TestJordanWigner:
             4, [PauliString(0.171, ((0, "Z"), (3, "X")))]
         )
         assert op.to_text() == "0.171  ZIIX"
+
+    def test_negative_mode_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            jordan_wigner([FermionTerm(1.0, ((-1, True), (-1, False)))], 2)
+
+    def test_mode_beyond_register_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            jordan_wigner([FermionTerm(1.0, ((2, True), (2, False)))], 2)
+
+    def test_more_than_62_modes_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            jordan_wigner([FermionTerm(1.0, ((63, True), (63, False)))], 64)
+
+    def test_highest_mode_of_62(self):
+        op = jordan_wigner([FermionTerm(1.0, ((61, True), (61, False)))], 62)
+        assert [s.word(62)[61] for s in op.terms] == ["I", "Z"]
+
+
+class TestPauliOperatorArrays:
+    def test_hand_built_strings_round_trip(self):
+        strings = [
+            PauliString(0.5 + 0j, ()),
+            PauliString(-0.25 + 0j, ((0, "X"), (2, "Y"))),
+            PauliString(1j, ((1, "Z"), (2, "Z"))),
+        ]
+        op = PauliOperator(3, strings)
+        assert op.x.tolist() == [0, 0b101, 0]
+        assert op.z.tolist() == [0, 0b100, 0b110]
+        assert op.terms == strings
+        assert op.terms[1] == strings[1] and op.terms[-1] == strings[-1]
+
+    def test_length_builds_no_strings(self, h2_terms, monkeypatch):
+        op = jordan_wigner(h2_terms, 4)
+
+        def refuse(*args):
+            raise AssertionError("len() built a PauliString")
+
+        monkeypatch.setattr(hamiltonian, "_factors", refuse)
+        assert len(op.terms) == op.x.size == op.z.size == op.coeffs.size == 15
+
+
+def _random_terms(n_orb: int, seed: int):
+    mol = random_molecular_integrals(n_orb, np.random.default_rng(seed))
+    return build_second_quantized(to_spin_orbitals(mol))
+
+
+def assert_same_operator(op, ref):
+    assert op.n_qubits == ref.n_qubits
+    assert np.array_equal(op.x, ref.x)
+    assert np.array_equal(op.z, ref.z)
+    assert np.array_equal(op.coeffs, ref.coeffs)
+
+
+class TestJordanWignerOracle:
+    @pytest.mark.parametrize(
+        "n_orb", [0, 2, 3, 4, 5, 6, 7],
+        ids=["h2"] + [f"random{n}" for n in range(2, 8)],
+    )
+    def test_matches_dict_merge_exactly(self, h2_terms, n_orb):
+        """n_orb 0 stands for the H2 fixture; random7 spans several blocks."""
+        terms = h2_terms if n_orb == 0 else _random_terms(n_orb, 40 + n_orb)
+        n_so = 4 if n_orb == 0 else 2 * n_orb
+        op = jordan_wigner(terms, n_so)
+        ref = jordan_wigner_by_dict(terms, n_so)
+        assert_same_operator(op, ref)
+        assert op.to_text() == ref.to_text()
+
+    def test_largest_case_spans_several_chunks(self):
+        terms = _random_terms(7, 47)
+        components = sum(1 << len(t.ops) for t in terms)
+        assert components > 2 * JW_CHUNK_ELEMENTS
+
+
+LADDER = st.tuples(st.integers(0, 2), st.booleans())
+TERM = st.builds(
+    FermionTerm,
+    st.sampled_from([0.5, -0.5, 1.25, -1.0])
+    | st.floats(1e-3, 2.0) | st.floats(-2.0, -1e-3),
+    st.sampled_from([0, 2, 4]).flatmap(
+        lambda k: st.lists(LADDER, min_size=k, max_size=k).map(tuple)
+    ),
+)
+
+
+class TestJordanWignerProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(TERM, max_size=6))
+    def test_random_terms_match_dense_and_dict(self, terms):
+        op = jordan_wigner(terms, 3)
+        assert np.allclose(dense_pauli(op), dense_fermion(terms, 3), atol=1e-12)
+        assert_same_operator(op, jordan_wigner_by_dict(terms, 3))
 
 
 class TestApplyOperator:
@@ -253,11 +349,6 @@ class TestExactEigensolve:
             exact_eigensolve([FermionTerm(1.0, ((0, True),))], 4, (1, 1))
 
 
-def _random_terms(n_orb: int, seed: int):
-    mol = random_molecular_integrals(n_orb, np.random.default_rng(seed))
-    return build_second_quantized(to_spin_orbitals(mol))
-
-
 ORACLE_CASES = [
     pytest.param(system, n_so, sector, id=f"{system}-{sector[0]}{sector[1]}")
     for system, n_so, sectors in (
@@ -300,3 +391,7 @@ class TestSpectraHelpers:
         assert covered == pytest.approx(1.0, abs=1e-12)
         assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
         assert weights[(0, 0)] > 0.9
+
+    def test_eigen_weights_rejects_overlapping_blocks(self, h2_hf_state, h2_spectrum_11):
+        with pytest.raises(DimensionMismatch):
+            eigen_weights(h2_hf_state.amplitudes, [h2_spectrum_11, h2_spectrum_11])

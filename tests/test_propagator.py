@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qfci.errors import MissingSector
+from qfci.errors import DimensionMismatch, MissingSector
 from qfci.hamiltonian import FermionTerm, exact_eigensolve
 from qfci.propagator import (
     EvolutionWindow,
@@ -94,6 +94,11 @@ class TestExactPropagator:
         with pytest.raises(MissingSector):
             u_power_exact(sv, [h2_spectrum_11], window)
 
+    def test_overlapping_blocks_rejected(self, h2_hf_state, h2_spectrum_11, window):
+        sv = h2_hf_state.copy()
+        with pytest.raises(DimensionMismatch):
+            u_power_exact(sv, [h2_spectrum_11, h2_spectrum_11], window)
+
 
 class TestControlledPropagator:
     def make_joint(self, system: np.ndarray) -> StateVector:
@@ -109,6 +114,13 @@ class TestControlledPropagator:
         before = joint.amplitudes[:16].copy()
         controlled_u_power_exact(joint, h2_full_spectra, window, 8, control=4)
         assert np.array_equal(joint.amplitudes[:16], before)
+
+    def test_overlapping_blocks_rejected(self, h2_hf_state, h2_spectrum_11, window):
+        joint = self.make_joint(h2_hf_state.amplitudes)
+        with pytest.raises(DimensionMismatch):
+            controlled_u_power_exact(
+                joint, [h2_spectrum_11, h2_spectrum_11], window, 1, control=4
+            )
 
     def test_control1_branch_is_u_power(self, h2_terms, h2_full_spectra, window):
         system = random_state(4, 2)
