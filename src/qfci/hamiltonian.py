@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations, groupby
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -19,7 +19,12 @@ from .integrals import SpinOrbitalIntegrals
 
 # Pauli strings below this magnitude are dropped during mapping
 PRUNE_TOL = 1e-14
-SECTOR_CAP = 20_000
+# Peak bytes per matrix element of a dense sector solve: the float64
+# matrix, eigh's copy of it, its divide-and-conquer workspace (two
+# matrices) and the eigenvectors; measured at 5.1-5.3 x 8 bytes
+SOLVE_BYTES_PER_ELEMENT = 5 * 8
+SECTOR_BYTE_BUDGET = 2 << 30
+SECTOR_CAP = isqrt(SECTOR_BYTE_BUDGET // SOLVE_BYTES_PER_ELEMENT)
 # Elements per (terms x determinants) temporary in the sector build
 CHUNK_ELEMENTS = 1 << 14
 # Mask components per block in Jordan-Wigner; each block is merged into
@@ -141,27 +146,74 @@ class PauliOperator:
         return "\n".join(lines)
 
 
-def build_second_quantized(soi: SpinOrbitalIntegrals) -> list[FermionTerm]:
-    """Emit h_pq a+_p a_q, (1/2)<pq|rs> a+_p a+_q a_s a_r and the scalar core."""
-    n = soi.n_so
-    terms: list[FermionTerm] = []
+class FermionTerms(Sequence):
+    """FermionTerm objects stored as runs of term arrays, built only when read.
+
+    Each run is (modes int64[T, k], creation bool[T, k], coef float64[T])
+    with ops leftmost first; runs are non-empty and kept in term order.
+    ``len()`` builds no FermionTerm.
+    """
+
+    def __init__(self, runs: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]):
+        self.runs = tuple(run for run in runs if run[2].size)
+        self._ends = np.cumsum([run[2].size for run in self.runs], dtype=np.int64)
+
+    @classmethod
+    def from_terms(cls, terms: Iterable[FermionTerm]) -> "FermionTerms":
+        """Arrays of hand-built terms, one run per stretch of equal op length."""
+        runs = []
+        for k, run in groupby(terms, key=lambda t: len(t.ops)):
+            run = list(run)
+            ops = np.fromiter(
+                chain.from_iterable(chain.from_iterable(t.ops for t in run)),
+                dtype=np.int64, count=len(run) * k * 2,
+            ).reshape(len(run), k, 2)
+            coef = np.fromiter((t.coefficient for t in run), dtype=np.float64, count=len(run))
+            runs.append((ops[:, :, 0], ops[:, :, 1].astype(bool), coef))
+        return cls(runs)
+
+    def __len__(self) -> int:
+        return int(self._ends[-1]) if self.runs else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        r = int(np.searchsorted(self._ends, i, side="right"))
+        modes, creation, coef = self.runs[r]
+        j = i - (int(self._ends[r - 1]) if r else 0)
+        return FermionTerm(float(coef[j]), tuple(zip(modes[j].tolist(), creation[j].tolist())))
+
+    def __iter__(self):
+        for modes, creation, coef in self.runs:
+            for m, c, v in zip(modes.tolist(), creation.tolist(), coef.tolist()):
+                yield FermionTerm(v, tuple(zip(m, c)))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
+def build_second_quantized(soi: SpinOrbitalIntegrals) -> FermionTerms:
+    """Emit the scalar core, h_pq a+_p a_q and (1/2)<pq|rs> a+_p a+_q a_s a_r.
+
+    Zero integrals are skipped; h terms come in row-major (p, q) order and
+    g terms in row-major (p, q, r, s) order.
+    """
+    runs = []
     if soi.core_energy != 0.0:
-        terms.append(FermionTerm(float(soi.core_energy), ()))
-    h = soi.h
-    for p in range(n):
-        for q in range(n):
-            if h[p, q] != 0.0:
-                terms.append(FermionTerm(float(h[p, q]), ((p, True), (q, False))))
-    g = soi.g
-    nz = np.argwhere(g != 0.0)
-    for p, q, r, s in nz:
-        terms.append(
-            FermionTerm(
-                0.5 * float(g[p, q, r, s]),
-                ((int(p), True), (int(q), True), (int(s), False), (int(r), False)),
-            )
-        )
-    return terms
+        runs.append((np.zeros((1, 0), dtype=np.int64), np.zeros((1, 0), dtype=bool),
+                     np.array([float(soi.core_energy)])))
+    # (tensor, index order of the ops, creation flags, scale): p+ q- and p+ q+ s- r-
+    for tensor, order, creation, scale in (
+        (soi.h, [0, 1], [True, False], 1.0),
+        (soi.g, [0, 1, 3, 2], [True, True, False, False], 0.5),
+    ):
+        tensor = np.asarray(tensor, dtype=np.float64)
+        nonzero = tensor != 0.0
+        modes = np.argwhere(nonzero)[:, order]
+        runs.append((modes, np.broadcast_to(np.array(creation), modes.shape),
+                     scale * tensor[nonzero]))
+    return FermionTerms(runs)
 
 
 # -- Jordan-Wigner ------------------------------------------------------
@@ -219,7 +271,7 @@ def _union_keys(kx, kz, bx, bz):
     return x[new], z[new], pos[: kx.size], pos[kx.size:]
 
 
-def jordan_wigner(terms: list[FermionTerm], n_modes: int) -> PauliOperator:
+def jordan_wigner(terms: Sequence[FermionTerm], n_modes: int) -> PauliOperator:
     """Map fermionic terms to a merged Pauli operator on n_modes qubits.
 
     Terms are expanded in blocks of at most JW_CHUNK_ELEMENTS mask
@@ -346,32 +398,27 @@ class SectorSpectrum:
         return full
 
 
-def _term_runs(terms: list[FermionTerm], n_so: int):
-    """Consecutive runs of equal op length as (modes, creation, coef) arrays.
+def _term_runs(terms: Iterable[FermionTerm], n_so: int):
+    """The (modes, creation, coef) runs of FermionTerms or of a term list.
 
     modes and creation are [T, k] with ops leftmost first, coef is [T];
     term order is kept.  Modes outside 0..n_so-1 raise DimensionMismatch.
     """
-    runs = []
-    for k, run in groupby(terms, key=lambda t: len(t.ops)):
-        run = list(run)
-        ops = np.fromiter(
-            chain.from_iterable(chain.from_iterable(t.ops for t in run)),
-            dtype=np.int64, count=len(run) * k * 2,
-        ).reshape(len(run), k, 2)
-        modes = ops[:, :, 0]
+    if not isinstance(terms, FermionTerms):
+        terms = FermionTerms.from_terms(terms)
+    start = 0
+    for modes, _, coef in terms.runs:
         bad = np.nonzero((modes < 0) | (modes >= n_so))[0]
         if bad.size:
             raise DimensionMismatch(
-                f"term {run[bad[0]].ops} touches a mode outside 0..{n_so - 1}"
+                f"term {terms[start + int(bad[0])].ops} touches a mode outside 0..{n_so - 1}"
             )
-        coef = np.fromiter((t.coefficient for t in run), dtype=np.float64, count=len(run))
-        runs.append((modes, ops[:, :, 1].astype(bool), coef))
-    return runs
+        start += coef.size
+    return terms.runs
 
 
 def _sector_matrix(
-    terms: list[FermionTerm], n_so: int, dets: np.ndarray, sector
+    terms: Sequence[FermionTerm], n_so: int, dets: np.ndarray, sector
 ) -> np.ndarray:
     """Dense H over the sorted determinants, built over (terms x dets) blocks.
 
@@ -411,7 +458,7 @@ def _sector_matrix(
 
 
 def exact_eigensolve(
-    terms: list[FermionTerm],
+    terms: Sequence[FermionTerm],
     n_so: int,
     sector: tuple[int, int],
     cap: int = SECTOR_CAP,
@@ -421,7 +468,10 @@ def exact_eigensolve(
     n_alpha, n_beta = sector
     dim = comb(n_orb, n_alpha) * comb(n_orb, n_beta)
     if dim > cap:
-        raise SectorTooLarge(f"sector {sector} has dimension {dim} > cap {cap}")
+        raise SectorTooLarge(
+            f"sector {sector} has dimension {dim} > cap {cap}; a dense solve "
+            f"needs about {dim * dim * SOLVE_BYTES_PER_ELEMENT / 2**30:.1f} GiB"
+        )
     dets = np.array(enumerate_sector(n_orb, n_alpha, n_beta), dtype=np.int64)
     mat = _sector_matrix(terms, n_so, dets, sector)
     eigenvalues, eigenvectors = np.linalg.eigh(mat)
@@ -434,7 +484,7 @@ def exact_eigensolve(
 
 
 def spectra_for_state(
-    terms: list[FermionTerm],
+    terms: Sequence[FermionTerm],
     n_so: int,
     amplitudes: np.ndarray,
     cap: int = SECTOR_CAP,

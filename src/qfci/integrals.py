@@ -7,6 +7,7 @@ n_orb..2*n_orb-1.  All energies in hartree.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -137,6 +138,8 @@ def parse_fcidump(path: str | Path) -> MolecularIntegrals:
             value = float(tokens[0].replace("D", "E").replace("d", "e"))
         except ValueError:
             raise ParseError(f"unreadable value {tokens[0]!r}", line_no)
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite value {tokens[0]!r}", line_no)
         try:
             i, j, k, l = (int(t) for t in tokens[1:])
         except ValueError:
@@ -153,7 +156,7 @@ def parse_fcidump(path: str | Path) -> MolecularIntegrals:
                 )
             core_energy = value
             seen_core = True
-        elif k == 0 and l == 0:
+        elif i > 0 and k == 0 and l == 0:
             if j == 0:
                 continue  # orbital-energy convenience line, not used
             record(one, (max(i, j), min(i, j)), value, line_no)

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from qfci.hamiltonian import PauliOperator, PauliString
+from qfci.hamiltonian import FermionTerm, PauliOperator, PauliString
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -189,3 +189,30 @@ def jordan_wigner_by_dict(terms, n_modes: int) -> PauliOperator:
         # X^x Z^z = (-i)^popcount(x & z) * labeled string
         strings.append(PauliString(c * (-1j) ** (x & z).bit_count(), tuple(factors)))
     return PauliOperator(n_modes, strings)
+
+
+def build_second_quantized_by_loop(soi) -> list:
+    """Fermion terms by a scalar loop over the nonzero integrals.
+
+    Reference for the package's array build: the scalar core if nonzero,
+    then h_pq a+_p a_q in row-major (p, q) order, then
+    (1/2)<pq|rs> a+_p a+_q a_s a_r in row-major (p, q, r, s) order.
+    """
+    n = soi.n_so
+    terms = []
+    if soi.core_energy != 0.0:
+        terms.append(FermionTerm(float(soi.core_energy), ()))
+    h = soi.h
+    for p in range(n):
+        for q in range(n):
+            if h[p, q] != 0.0:
+                terms.append(FermionTerm(float(h[p, q]), ((p, True), (q, False))))
+    g = soi.g
+    for p, q, r, s in np.argwhere(g != 0.0):
+        terms.append(
+            FermionTerm(
+                0.5 * float(g[p, q, r, s]),
+                ((int(p), True), (int(q), True), (int(s), False), (int(r), False)),
+            )
+        )
+    return terms

@@ -8,7 +8,9 @@ from qfci.errors import DimensionMismatch, SectorTooLarge
 from qfci.hamiltonian import (
     CHUNK_ELEMENTS,
     JW_CHUNK_ELEMENTS,
+    SECTOR_CAP,
     FermionTerm,
+    FermionTerms,
     PauliOperator,
     PauliString,
     apply_ladder,
@@ -21,9 +23,14 @@ from qfci.hamiltonian import (
     sector_of,
     spectra_for_state,
 )
-from qfci.integrals import random_molecular_integrals, to_spin_orbitals
+from qfci.integrals import (
+    MolecularIntegrals,
+    random_molecular_integrals,
+    to_spin_orbitals,
+)
 from tests.conftest import H2_SECTOR_11_EIGENVALUES
 from tests.oracles import (
+    build_second_quantized_by_loop,
     dense_fermion,
     dense_ladder,
     dense_pauli,
@@ -64,6 +71,85 @@ class TestBuildSecondQuantized:
         assert len(terms) == 1 and terms[0].ops == ()
         psi = np.array([0.5, 0.5, 0.5, 0.5], complex)
         assert np.allclose(apply_operator(terms, psi), 0.75 * psi)
+
+
+def assert_same_terms(terms, ref):
+    """Equal term for term, with Python int modes, bool flags and float coefficients."""
+    assert len(terms) == len(ref)
+    for t, r in zip(terms, ref):
+        assert t == r
+        assert type(t.coefficient) is float
+        assert all(type(m) is int and type(c) is bool for m, c in t.ops)
+
+
+class TestFermionTerms:
+    def test_matches_loop_build_on_h2(self, h2_soi, h2_terms):
+        ref = build_second_quantized_by_loop(h2_soi)
+        assert_same_terms(h2_terms, ref)
+        assert_same_terms([h2_terms[i] for i in range(-len(ref), 0)], ref)
+        assert h2_terms[3:9] == ref[3:9]
+        with pytest.raises(IndexError):
+            h2_terms[len(ref)]
+
+    def test_hand_built_terms_round_trip(self):
+        terms = [
+            FermionTerm(0.5, ()),
+            FermionTerm(-1.0, ((1, True), (0, False))),
+            FermionTerm(0.25, ((0, True), (1, True), (1, False), (0, False))),
+            FermionTerm(2.0, ((2, True), (2, False))),
+        ]
+        view = FermionTerms.from_terms(terms)
+        assert [run[2].size for run in view.runs] == [1, 1, 1, 1]
+        assert_same_terms(view, terms)
+
+    def test_length_builds_no_terms(self, h2_terms, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("len() built a FermionTerm")
+
+        monkeypatch.setattr(hamiltonian, "FermionTerm", refuse)
+        assert len(h2_terms) == 37
+
+    def test_too_few_modes_rejected(self, h2_terms):
+        with pytest.raises(DimensionMismatch, match="outside 0..1"):
+            exact_eigensolve(h2_terms, 2, (1, 0))
+        with pytest.raises(DimensionMismatch):
+            jordan_wigner(h2_terms, 2)
+
+
+@st.composite
+def molecular_integrals(draw):
+    """Random spatial integrals: zero or nonzero core, h or g all zero, sparse g."""
+    n_orb = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mol = random_molecular_integrals(n_orb, rng)
+    one, two = mol.one_body, mol.two_body
+    one_kind = draw(st.sampled_from(["dense", "zero"]))
+    two_kind = draw(st.sampled_from(["dense", "sparse", "zero"]))
+    if one_kind == "zero":
+        one = np.zeros_like(one)
+    if two_kind == "zero":
+        two = np.zeros_like(two)
+    elif two_kind == "sparse":
+        two = np.where(rng.random(two.shape) < 0.2, two, 0.0)
+    core = draw(st.sampled_from([0.0, mol.core_energy]))
+    return MolecularIntegrals(n_orb, mol.n_elec, 0, core, one, two)
+
+
+class TestBuildProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(molecular_integrals())
+    def test_arrays_match_loop_build(self, mol):
+        soi = to_spin_orbitals(mol)
+        terms = build_second_quantized(soi)
+        ref = build_second_quantized_by_loop(soi)
+        assert_same_terms(terms, ref)
+        n_so = soi.n_so
+        assert_same_operator(jordan_wigner(terms, n_so), jordan_wigner(ref, n_so))
+        sector = ((mol.n_orb + 1) // 2, mol.n_orb // 2)
+        got = exact_eigensolve(terms, n_so, sector)
+        want = exact_eigensolve(ref, n_so, sector)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.eigenvectors, want.eigenvectors)
 
 
 class TestJordanWigner:
@@ -339,6 +425,17 @@ class TestExactEigensolve:
     def test_sector_too_large(self, h2_terms):
         with pytest.raises(SectorTooLarge):
             exact_eigensolve(h2_terms, 4, (1, 1), cap=3)
+
+    def test_default_cap_rejects_before_building(self, monkeypatch):
+        """n_orb=10 (5,5) has dimension 63504, over the memory-derived cap."""
+        def refuse(*args):
+            raise AssertionError("sector built before the cap check")
+
+        monkeypatch.setattr(hamiltonian, "enumerate_sector", refuse)
+        monkeypatch.setattr(hamiltonian, "_sector_matrix", refuse)
+        assert SECTOR_CAP < 63504
+        with pytest.raises(SectorTooLarge, match=r"63504 > cap .* about 150\.2 GiB"):
+            exact_eigensolve([], 20, (5, 5))
 
     def test_mode_out_of_range(self):
         with pytest.raises(DimensionMismatch):

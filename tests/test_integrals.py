@@ -92,6 +92,20 @@ class TestParseFcidump:
         with pytest.raises(ParseError):
             parse_fcidump(p)
 
+    @pytest.mark.parametrize("indices", ["0 1 0 0", "0 2 0 0"])
+    def test_zero_first_index_one_body_rejected(self, tmp_path, indices):
+        p = write(tmp_path, f"0.25 0 0 0 0\n0.5 {indices}\n")
+        with pytest.raises(ParseError, match="unclassifiable") as err:
+            parse_fcidump(p)
+        assert err.value.line_no == 4
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1D400"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        p = write(tmp_path, f"0.5 1 2 0 0\n{value} 1 1 0 0\n")
+        with pytest.raises(ParseError, match="non-finite") as err:
+            parse_fcidump(p)
+        assert err.value.line_no == 4
+
 
 class TestMolecularIntegralsInvariants:
     def test_fixture_invariants(self, h2_mol):
