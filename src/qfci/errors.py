@@ -28,7 +28,7 @@ class SectorTooLarge(QfciError, ValueError):
 
 
 class CapExceeded(QfciError, ValueError):
-    """Register size above the configured qubit cap."""
+    """Register size above the qubit cap, or an array above its byte budget."""
 
 
 class IndexOutOfRange(QfciError, IndexError):

@@ -27,8 +27,8 @@ SECTOR_BYTE_BUDGET = 2 << 30
 SECTOR_CAP = isqrt(SECTOR_BYTE_BUDGET // SOLVE_BYTES_PER_ELEMENT)
 # Elements per (terms x determinants) temporary in the sector build
 CHUNK_ELEMENTS = 1 << 14
-# Mask components per block in Jordan-Wigner; each block is merged into
-# the running key set with one sort, so larger blocks mean fewer sorts
+# Mask components per block in Jordan-Wigner; each block is one insert
+# into the running sorted key set, so larger blocks mean fewer inserts
 JW_CHUNK_ELEMENTS = 1 << 16
 # int64 masks with headroom for the sign bit
 MAX_JW_MODES = 62
@@ -225,50 +225,92 @@ def build_second_quantized(soi: SpinOrbitalIntegrals) -> FermionTerms:
 
 
 def _term_components(modes: np.ndarray, creation: np.ndarray, coef: np.ndarray):
-    """Pauli sums of a block of k-op terms as (x, z, value), in term order.
+    """Pauli sums of a block of k-op terms as (term, x, z, value), term by term.
 
-    Each term expands into its 2^k mask components, ops leftmost first.
-    All components of one term share x and have magnitude |coef| / 2^k,
-    so components with the same z are summed as integer signs, exactly.
+    Op o maps to (1/2) X^bit Z^chain (1 +- Z^bit), + for a creator, so
+    picking the Z^bit factor on a subset c of the ops gives the string
+    X^x Z^(z0 ^ L(c)) with sign (-1)^(p0 ^ <w, c>): L(c) is the XOR of the
+    picked bits, p0 counts the chain Z's that pass a later op's X, and w
+    marks an annihilator or an odd number of later ops on the same mode.
+    Subsets that differ by an even number of ops on every mode give the
+    same z, so each z sums 2^(k - distinct modes) signs: all equal when w
+    is constant over each mode's ops, else cancelling to zero.  Each z is
+    emitted once, for the subset picking only first ops of their modes,
+    with that exact integer sum times coef / 2^k.
     """
     k = modes.shape[1]
     bits = np.left_shift(1, modes)
-    z = np.zeros((coef.size, 1), dtype=np.int64)
-    sign = np.ones((coef.size, 1), dtype=np.int8)
+    p0 = np.zeros(coef.size, dtype=np.int64)
+    w = (~creation).astype(np.int64)
+    repeat = np.zeros(modes.shape, dtype=bool)
+    same = {}
     for o in range(k):
-        bit = bits[:, o, None]
-        sign = np.where(z & bit, -sign, sign)
-        z = z ^ (bit - 1)
-        z = np.concatenate((z, z ^ bit), axis=1)
-        sign = np.concatenate((sign, np.where(creation[:, o, None], sign, -sign)), axis=1)
-    order = np.argsort(z, axis=1)
-    z = np.take_along_axis(z, order, axis=1).ravel()
-    sign = np.take_along_axis(sign, order, axis=1).ravel()
-    start = np.ones(z.size, dtype=bool)
-    start[1:] = z[1:] != z[:-1]
-    start[:: 1 << k] = True
-    first = np.flatnonzero(start)
-    count = np.add.reduceat(sign, first, dtype=np.int64)
-    live = count != 0
-    first, count = first[live], count[live]
-    term = first >> k
-    x = np.bitwise_xor.reduce(bits, axis=1)
-    return x[term], z[first], count * (coef[term] * 0.5**k)
+        for a in range(o):
+            same[a, o] = modes[:, a] == modes[:, o]
+            p0 += modes[:, o] < modes[:, a]
+            w[:, a] += same[a, o]
+            repeat[:, o] |= same[a, o]
+    w &= 1
+    live = np.ones(coef.size, dtype=bool)
+    for (a, o), eq in same.items():
+        live &= ~eq | (w[:, a] == w[:, o])
+    # picks[c, o]: subset c picks op o; rows of the [T, 2^k] arrays are terms
+    picks = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    keep = (live[:, None] & (repeat.astype(np.int64) @ picks.T == 0)).ravel()
+    z = np.bitwise_xor.reduce(bits - 1, axis=1)[:, None] ^ (bits @ picks.T)
+    count = (1 - 2 * ((p0[:, None] + w @ picks.T) & 1)) << (
+        k - np.count_nonzero(~repeat, axis=1)[:, None])
+    value = count * (coef * 0.5**k)[:, None]
+    term = np.flatnonzero(keep) >> k
+    return term, np.bitwise_xor.reduce(bits, axis=1)[term], z.ravel()[keep], value.ravel()[keep]
 
 
-def _union_keys(kx, kz, bx, bz):
-    """Sorted unique (x, z) keys of both sets and each entry's position in them."""
-    x = np.concatenate((kx, bx))
-    z = np.concatenate((kz, bz))
-    # by z, then stably by x: (x, z) order; equal pairs may come in any order
-    order = np.argsort(z)
-    order = order[np.argsort(x[order], kind="stable")]
-    x, z = x[order], z[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
-    pos = np.empty(order.size, dtype=np.int64)
-    pos[order] = np.cumsum(new) - 1
-    return x[new], z[new], pos[: kx.size], pos[kx.size:]
+def _keys(fields: Sequence[np.ndarray], widths: Sequence[int]) -> np.ndarray:
+    """Sort keys that order rows of the fields lexicographically.
+
+    Field i holds non-negative int64 values below 2**widths[i].  Fields
+    whose widths sum to at most 63 bits pack into one int64; wider ones
+    become their big-endian bytes as a void key, which numpy orders by
+    memcmp, i.e. lexicographically.
+    """
+    if sum(widths) <= 63:
+        key = fields[0]
+        for field, width in zip(fields[1:], widths[1:]):
+            key = (key << width) | field
+        return key
+    packed = np.empty((fields[0].size, len(fields)), dtype=">i8")
+    for i, field in enumerate(fields):
+        packed[:, i] = field
+    return packed.view(f"V{packed.itemsize * len(fields)}").ravel()
+
+
+def _unkey(keys: np.ndarray, widths: Sequence[int]) -> list[np.ndarray]:
+    """The fields of keys made by _keys."""
+    if keys.dtype == np.int64:
+        shifts = np.cumsum(widths[::-1])[::-1] - widths
+        return [(keys >> int(s)) & ((1 << w) - 1) for s, w in zip(shifts, widths)]
+    packed = keys.view(">i8").reshape(keys.size, len(widths))
+    return list(packed.T.astype(np.int64, order="C"))
+
+
+def _merge_block(keys: np.ndarray, acc: np.ndarray, bkeys: np.ndarray,
+                 value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Add a block's values into the sorted key set and its sums.
+
+    Keys of the block not yet in the set are inserted with a zero sum;
+    the block's values are then added in block order.
+    """
+    ukeys = np.sort(bkeys)
+    distinct = np.ones(ukeys.size, dtype=bool)
+    distinct[1:] = ukeys[1:] != ukeys[:-1]
+    ukeys = ukeys[distinct]
+    at = np.searchsorted(keys, ukeys)
+    fresh = at == keys.size
+    fresh[~fresh] = keys[at[~fresh]] != ukeys[~fresh]
+    keys = np.insert(keys, at[fresh], ukeys[fresh])
+    acc = np.insert(acc, at[fresh], 0.0)
+    np.add.at(acc, np.searchsorted(keys, bkeys), value)
+    return keys, acc
 
 
 def jordan_wigner(terms: Sequence[FermionTerm], n_modes: int) -> PauliOperator:
@@ -280,24 +322,40 @@ def jordan_wigner(terms: Sequence[FermionTerm], n_modes: int) -> PauliOperator:
     term-by-term dict merge would.  Strings at or below PRUNE_TOL are
     dropped and the rest ordered by (x, z).
     """
+    return _jordan_wigner(terms, n_modes, None)
+
+
+def _jordan_wigner(terms: Sequence[FermionTerm], n_modes: int,
+                   groups: np.ndarray | None) -> PauliOperator:
+    """jordan_wigner of each group of terms, concatenated in group order.
+
+    groups[i] is the group of term i (non-negative int64), or None for
+    one group.  The group is the leading field of the merge key, so each
+    group's strings and coefficients are those jordan_wigner gives for
+    its terms alone.
+    """
     if n_modes > MAX_JW_MODES:
         raise DimensionMismatch(
             f"n_modes={n_modes} exceeds the {MAX_JW_MODES}-mode mask width"
         )
-    kx = kz = np.zeros(0, dtype=np.int64)
+    widths = (n_modes, n_modes)
+    if groups is not None:
+        widths = (int(groups.max(initial=0)).bit_length(),) + widths
+    keys = _keys([np.zeros(0, dtype=np.int64)] * len(widths), widths)
     acc = np.zeros(0)
+    start = 0
     for modes, creation, coef in _term_runs(terms, n_modes):
         step = max(1, JW_CHUNK_ELEMENTS >> modes.shape[1])
         for lo in range(0, coef.size, step):
             block = slice(lo, lo + step)
-            bx, bz, value = _term_components(modes[block], creation[block], coef[block])
-            kx, kz, old, new = _union_keys(kx, kz, bx, bz)
-            merged = np.zeros(kx.size)
-            merged[old] = acc
-            np.add.at(merged, new, value)
-            acc = merged
+            term, *fields, value = _term_components(
+                modes[block], creation[block], coef[block])
+            if groups is not None:
+                fields.insert(0, groups[start + lo + term])
+            keys, acc = _merge_block(keys, acc, _keys(fields, widths), value)
+        start += coef.size
     keep = np.abs(acc) > PRUNE_TOL
-    x, z = kx[keep], kz[keep]
+    *_, x, z = _unkey(keys[keep], widths)
     # X^x Z^z = (-i)^popcount(x & z) * labeled string
     coeffs = acc[keep] * _I_POWERS[np.bitwise_count(x & z) & 3].conj()
     return PauliOperator.from_masks(n_modes, x, z, coeffs)

@@ -14,10 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConsistencyError, ParseError
+from .errors import CapExceeded, ConsistencyError, ParseError
 
 # duplicate FCIDUMP entries may disagree by at most this much
 DUPLICATE_TOL = 1e-10
+# Most bytes the spin-orbital two-body tensor, (2 n_orb)^4 float64, may
+# take; the spatial tensors and term arrays built beside it are smaller
+TENSOR_BYTE_BUDGET = 2 << 30
 
 
 @dataclass
@@ -44,6 +47,17 @@ class SpinOrbitalIntegrals:
     @property
     def n_orb(self) -> int:
         return self.n_so // 2
+
+
+def _over_budget(n_orb: int) -> str | None:
+    """Why n_orb spatial orbitals exceed TENSOR_BYTE_BUDGET, else None."""
+    need = (2 * n_orb) ** 4 * 8
+    if need <= TENSOR_BYTE_BUDGET:
+        return None
+    return (
+        f"{n_orb} orbitals need about {need / 2**30:.3g} GiB for the spin-orbital "
+        f"two-body tensor, above the {TENSOR_BYTE_BUDGET / 2**30:.3g} GiB budget"
+    )
 
 
 def _canonical_two_body(i: int, j: int, k: int, l: int) -> tuple:
@@ -87,7 +101,12 @@ def parse_fcidump(path: str | Path) -> MolecularIntegrals:
     Orbital-energy lines (``value i 0 0 0``) are accepted and ignored;
     ORBSYM/ISYM are parsed but unused.  Unspecified entries default to 0.
     """
-    lines = Path(path).read_text().splitlines()
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("not UTF-8 text", raw.count(b"\n", 0, exc.start) + 1) from exc
+    lines = text.splitlines()
 
     header_chunks: list[str] = []
     header_end = None
@@ -111,6 +130,8 @@ def parse_fcidump(path: str | Path) -> MolecularIntegrals:
     n_orb = meta["NORB"]
     if n_orb < 1:
         raise ParseError(f"NORB must be positive, got {n_orb}", header_end + 1)
+    if why := _over_budget(n_orb):
+        raise ParseError(why, header_end + 1)
 
     core_energy = 0.0
     seen_core = False
@@ -195,7 +216,10 @@ def to_spin_orbitals(mol: MolecularIntegrals) -> SpinOrbitalIntegrals:
     The antisymmetrizing convention is NOT applied here: g stores plain
     physicists' elements <pq|rs> = (pr|qs) with the spin selection rule
     spin(p) == spin(r), spin(q) == spin(s); opposite blocks are zero.
+    Above TENSOR_BYTE_BUDGET it raises CapExceeded before allocating.
     """
+    if why := _over_budget(mol.n_orb):
+        raise CapExceeded(why)
     n = mol.n_orb
     n_so = 2 * n
 
@@ -222,7 +246,12 @@ def random_molecular_integrals(
     n_elec: int | None = None,
     scale: float = 1.0,
 ) -> MolecularIntegrals:
-    """Dense random integrals obeying the FCIDUMP symmetries (test/scaling aid)."""
+    """Dense random integrals obeying the FCIDUMP symmetries (test/scaling aid).
+
+    Above TENSOR_BYTE_BUDGET it raises CapExceeded before drawing.
+    """
+    if why := _over_budget(n_orb):
+        raise CapExceeded(why)
     one = rng.standard_normal((n_orb, n_orb)) * scale
     one = 0.5 * (one + one.T)
 

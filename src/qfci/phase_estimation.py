@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingSector, WeightNormalization
+from .errors import CapExceeded, MissingSector, WeightNormalization
 from .guess import GuessState
-from .hamiltonian import SectorSpectrum, eigen_weights
+from .hamiltonian import SECTOR_BYTE_BUDGET, SectorSpectrum, eigen_weights
 from .propagator import EvolutionWindow, controlled_u_power_exact
 from .statevector import (
     HADAMARD,
@@ -31,6 +31,10 @@ from .statevector import (
 COVERAGE_TOL = 1e-12
 # A float64 phase carries 52 fractional bits; more cannot be resolved.
 MAX_BITS = 52
+# Peak bytes per outcome of pea_distribution, whose temporaries measured
+# 7.1 float64 arrays of 2^m, and the most it may take
+DISTRIBUTION_BYTES_PER_OUTCOME = 8 * 8
+DISTRIBUTION_BYTE_BUDGET = SECTOR_BYTE_BUDGET
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,14 @@ def pea_distribution(weights: list[tuple[float, float]], m: int) -> np.ndarray:
 
     weights holds (weight, phase-in-turns) pairs summing to 1; entry b of
     the returned array is the probability of reading the m-bit outcome b.
+    Above DISTRIBUTION_BYTE_BUDGET it raises CapExceeded before allocating.
     """
+    need = DISTRIBUTION_BYTES_PER_OUTCOME << m
+    if need > DISTRIBUTION_BYTE_BUDGET:
+        raise CapExceeded(
+            f"an m={m} outcome distribution needs about {need / 2**30:.3g} GiB, "
+            f"above the {DISTRIBUTION_BYTE_BUDGET / 2**30:.3g} GiB budget"
+        )
     total = sum(w for w, _ in weights)
     if abs(total - 1.0) > 1e-10:
         raise WeightNormalization(f"weights sum to {total!r}")

@@ -16,12 +16,15 @@ from .errors import MissingSector
 from .hamiltonian import (
     FermionTerm,
     SectorSpectrum,
+    _jordan_wigner,
     _require_disjoint,
-    jordan_wigner,
 )
 from .statevector import StateVector
 
 UNCOVERED_TOL = 1e-12
+# Largest dense Trotter slice matrix, 4^n complex entries, that trotter_u
+# builds; larger registers apply the slice to the state itself
+SLICE_MATRIX_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -189,17 +192,41 @@ def _hermitian_groups(terms: list[FermionTerm],
     return groups
 
 
-def _group_strings(group: list[FermionTerm], n_qubits: int):
-    """Pauli strings of one Hermitian group as (x, z, n_y, coefficient).
+def _group_strings(groups: list[list[FermionTerm]], n_qubits: int):
+    """Pauli strings of all Hermitian groups, group by group, in one JW pass.
 
+    Returns (x, z, coefficient) arrays; each group's strings come in the
+    order and with the coefficients jordan_wigner gives for that group.
     Coefficients are those of the labeled (Hermitian) strings and must
     come out real; they do for any Hermitian-grouped real Hamiltonian.
     """
-    op = jordan_wigner(group, n_qubits)
+    terms = [t for group in groups for t in group]
+    ids = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+    op = _jordan_wigner(terms, n_qubits, ids)
     if np.any(np.abs(op.coeffs.imag) > 1e-12):
         raise ValueError("Hermitian group mapped to a complex Pauli coefficient")
-    ny = np.bitwise_count(op.x & op.z)
-    return list(zip(op.x.tolist(), op.z.tolist(), ny.tolist(), op.coeffs.real.tolist()))
+    return op.x, op.z, op.coeffs.real
+
+
+def _apply_slice(block: np.ndarray, rotations, signs: dict) -> None:
+    """One Trotter slice, prod exp(-i angle P), on each column of block.
+
+    rotations lists (x, z, angle) per string in slice order; block is
+    (2^n, columns) and is updated in place; signs caches the (-1)^(z.j)
+    column of each z mask across calls.
+    """
+    idx = np.arange(block.shape[0])
+    for x, z, angle in rotations:
+        if x == 0 and z == 0:
+            block *= complex(np.exp(-1j * angle))
+            continue
+        sign = signs.get(z)
+        if sign is None:
+            sign = signs[z] = (1.0 - 2.0 * (np.bitwise_count(idx & z) & 1))[:, None]
+        # exp(-i angle P) = cos(angle) I - i sin(angle) P with
+        # (P psi)[j] = (-i)^n_y * (-1)^(z.j) * psi[j ^ x]
+        p_psi = (-1j) ** (x & z).bit_count() * sign * block[idx ^ x]
+        block[:] = np.cos(angle) * block - 1j * np.sin(angle) * p_psi
 
 
 def trotter_u(
@@ -214,35 +241,27 @@ def trotter_u(
     exp(i tau E_max).  Each group exponential is exact: the strings of a
     Hermitian term pair share their X/Y support and carry real
     coefficients, hence commute, so exp reduces to a product of
-    single-string rotations.
+    single-string rotations.  When the 2^n x 2^n slice matrix fits
+    SLICE_MATRIX_BYTES and there are more slices than columns, the slice
+    is applied once to the identity and the state then takes N mat-vecs;
+    otherwise the slice is applied to the state N times.
     """
-    n = state.n_qubits
-    groups = _hermitian_groups(terms, plan.term_order)
+    x, z, c = _group_strings(_hermitian_groups(terms, plan.term_order), state.n_qubits)
     theta = window.tau / plan.n_slices
-    compiled = []
-    for group in groups:
-        for x, z, ny, c in _group_strings(group, n):
-            angle = theta * c
-            if x == 0 and z == 0:
-                compiled.append((None, None, None, complex(np.exp(-1j * angle))))
-            else:
-                compiled.append((x, z, (-1j) ** ny, angle))
-
+    rotations = list(zip(x.tolist(), z.tolist(), [theta * v for v in c.tolist()]))
     amps = state.amplitudes
-    idx = np.arange(amps.size)
-    sign_cache: dict[int, np.ndarray] = {}
-    for _ in range(plan.n_slices):
-        for x, z, phase, val in compiled:
-            if x is None:
-                amps *= val
-                continue
-            signs = sign_cache.get(z)
-            if signs is None:
-                signs = 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
-                sign_cache[z] = signs
-            # exp(-i angle P) = cos(angle) I - i sin(angle) P with
-            # (P psi)[j] = (-i)^n_y * (-1)^(z.j) * psi[j ^ x]
-            p_psi = phase * signs * amps[idx ^ x]
-            amps[:] = np.cos(val) * amps - 1j * np.sin(val) * p_psi
+    signs: dict[int, np.ndarray] = {}
+    dim = amps.size
+    if dim * dim * 16 <= SLICE_MATRIX_BYTES and plan.n_slices > dim:
+        step = np.eye(dim, dtype=np.complex128)
+        _apply_slice(step, rotations, signs)
+        psi = amps
+        for _ in range(plan.n_slices):
+            psi = step @ psi
+        amps[:] = psi
+    else:
+        column = amps.reshape(dim, 1)
+        for _ in range(plan.n_slices):
+            _apply_slice(column, rotations, signs)
     amps *= np.exp(1j * window.tau * window.e_max)
     return state

@@ -383,6 +383,14 @@ class TestScalingCommand:
         assert code == 2
         assert "even" in capsys.readouterr().err
 
+    def test_size_over_budget_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "s.csv"
+        code = main(["scaling", "--sizes", "4,400", "--csv", str(csv_path),
+                     "--json", str(tmp_path / "s.json")])
+        assert code == 2
+        assert "GiB" in capsys.readouterr().err
+        assert not csv_path.exists()
+
     def test_scaling_deterministic(self, tmp_path):
         blobs = []
         for run in ("a", "b"):

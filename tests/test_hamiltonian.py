@@ -272,6 +272,47 @@ class TestJordanWignerOracle:
         components = sum(1 << len(t.ops) for t in terms)
         assert components > 2 * JW_CHUNK_ELEMENTS
 
+    @pytest.mark.parametrize("n_modes", [32, 41, 62])
+    def test_matches_dict_merge_above_31_modes(self, n_modes):
+        """Masks of two modes no longer fit one int64 key above 31 modes."""
+        rng = np.random.default_rng(n_modes)
+        terms = []
+        for _ in range(40):
+            p, q, r, s = rng.integers(33 if n_modes > 33 else 0, n_modes, 4).tolist()
+            c = float(rng.standard_normal())
+            terms += [
+                FermionTerm(c, ((p, True), (q, False))),
+                FermionTerm(c, ((q, True), (p, False))),
+                FermionTerm(c, ((p, True), (q, True), (s, False), (r, False))),
+                FermionTerm(c, ((r, True), (s, True), (q, False), (p, False))),
+            ]
+        terms.append(FermionTerm(0.75, ((0, True), (n_modes - 1, False))))
+        terms.append(FermionTerm(0.75, ((n_modes - 1, True), (0, False))))
+        op = jordan_wigner(terms, n_modes)
+        ref = jordan_wigner_by_dict(terms, n_modes)
+        assert_same_operator(op, ref)
+        assert op.to_text() == ref.to_text()
+        assert int(op.x.max()) >> (n_modes - 1) == 1
+
+
+class TestGroupedJordanWigner:
+    @pytest.mark.parametrize(
+        "n_modes, n_groups", [(8, 1), (8, 5), (30, 9), (62, 3)],
+        ids=["one-group", "packed", "wider-than-int64", "62-modes"],
+    )
+    def test_groups_map_as_if_alone(self, n_modes, n_groups):
+        """Result is each group's own mapping, concatenated in group order."""
+        shift = n_modes - 8
+        terms = [FermionTerm(t.coefficient, tuple((m + shift, c) for m, c in t.ops))
+                 for t in _random_terms(4, 3)]
+        ids = np.random.default_rng(n_modes).integers(0, n_groups, len(terms))
+        op = hamiltonian._jordan_wigner(terms, n_modes, ids)
+        ops = [jordan_wigner([t for t, i in zip(terms, ids) if i == g], n_modes)
+               for g in range(n_groups)]
+        assert np.array_equal(op.x, np.concatenate([o.x for o in ops]))
+        assert np.array_equal(op.z, np.concatenate([o.z for o in ops]))
+        assert np.array_equal(op.coeffs, np.concatenate([o.coeffs for o in ops]))
+
 
 LADDER = st.tuples(st.integers(0, 2), st.booleans())
 TERM = st.builds(
@@ -291,6 +332,18 @@ class TestJordanWignerProperties:
         op = jordan_wigner(terms, 3)
         assert np.allclose(dense_pauli(op), dense_fermion(terms, 3), atol=1e-12)
         assert_same_operator(op, jordan_wigner_by_dict(terms, 3))
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(
+        st.builds(FermionTerm, st.floats(-2.0, 2.0),
+                  st.lists(st.tuples(st.integers(0, 3), st.booleans()),
+                           max_size=6).map(tuple)),
+        max_size=5,
+    ))
+    def test_terms_of_any_length_match_dict(self, terms):
+        """Odd lengths and modes repeated up to six times in one term."""
+        assert_same_operator(jordan_wigner(terms, 4), jordan_wigner_by_dict(terms, 4))
 
 
 class TestApplyOperator:

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfci.errors import ConsistencyError, ParseError
+import qfci.integrals as integrals
+from qfci.errors import CapExceeded, ConsistencyError, ParseError
 from qfci.integrals import (
+    TENSOR_BYTE_BUDGET,
     MolecularIntegrals,
     parse_fcidump,
     random_molecular_integrals,
@@ -105,6 +109,97 @@ class TestParseFcidump:
         with pytest.raises(ParseError, match="non-finite") as err:
             parse_fcidump(p)
         assert err.value.line_no == 4
+
+
+    def test_orbital_count_over_budget_rejected_before_allocating(
+        self, tmp_path, monkeypatch
+    ):
+        p = write(tmp_path, "0.5 1 1 0 0\n", header="&FCI NORB=100000,NELEC=2,\n&END\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        monkeypatch.setattr(integrals.np, "zeros", refuse)
+        with pytest.raises(ParseError, match="GiB") as err:
+            parse_fcidump(p)
+        assert err.value.line_no == 2
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        p = tmp_path / "case.fcidump"
+        p.write_bytes(b"&FCI NORB=1,NELEC=2,\n&END\n\xff\xfe 1 1 0 0\n")
+        with pytest.raises(ParseError, match="UTF-8"):
+            parse_fcidump(p)
+
+
+# mostly well-formed tokens, so that many files parse and the checks
+# past the tokenizer (index patterns, duplicates, symmetry) are reached
+VALUE = st.sampled_from(["0.5", "-2.5D-1", "1", "0", "0.125", "1e999", "nan", "x"])
+INDEX = st.sampled_from(["0", "1", "1", "2", "2", "3", "-1", "q"])
+HEADER = st.builds(
+    "&FCI NORB={}, NELEC=2, MS2=0,{}\n&END\n".format,
+    st.sampled_from(["1", "2", "3"]),
+    st.sampled_from(["", " ORBSYM=1,1,1,", " ISYM=1,"]),
+) | st.sampled_from([
+    "&FCI NORB=0,NELEC=2,\n&END\n", "&FCI NORB=q,NELEC=2,\n&END\n",
+    "&FCI NORB=100000,NELEC=2,\n&END\n", "&FCI NELEC=2,\n/\n",
+    "&FCI NORB=2,\n&END\n", "&FCI NORB=2,NELEC=2,MS2=x,\n&END\n",
+    "&FCI NORB=2,NELEC=2,\n",
+])
+BODY_LINE = st.tuples(VALUE, INDEX, INDEX, INDEX, INDEX).map(" ".join) | st.lists(
+    VALUE | st.text(max_size=3), max_size=6).map(" ".join)
+FCIDUMP_TEXT = st.text() | st.builds(
+    lambda header, lines: header + "\n".join(lines) + "\n",
+    HEADER, st.lists(BODY_LINE, max_size=5),
+)
+
+
+class TestParseFuzz:
+    """Any file gives integrals or a typed parse error, never another exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=FCIDUMP_TEXT)
+    def test_any_text(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("fuzz") / "case.fcidump"
+        p.write_text(text, encoding="utf-8")
+        try:
+            mol = parse_fcidump(p)
+        except (ParseError, ConsistencyError):
+            return
+        assert mol.one_body.shape == (mol.n_orb,) * 2
+        assert np.all(np.isfinite(mol.two_body))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.binary())
+    def test_any_bytes(self, tmp_path_factory, data):
+        p = tmp_path_factory.mktemp("fuzz") / "case.fcidump"
+        p.write_bytes(b"&FCI NORB=1,NELEC=2,\n&END\n" + data)
+        try:
+            parse_fcidump(p)
+        except (ParseError, ConsistencyError):
+            pass
+
+
+class TestTensorBudget:
+    def test_budget_admits_64_orbitals_only(self):
+        assert (2 * 64) ** 4 * 8 <= TENSOR_BYTE_BUDGET < (2 * 65) ** 4 * 8
+
+    def test_random_integrals_rejected_before_drawing(self):
+        class Refuse:
+            def standard_normal(self, *args):
+                raise AssertionError("drew before the budget check")
+
+        with pytest.raises(CapExceeded, match="GiB"):
+            random_molecular_integrals(200, Refuse())
+
+    def test_spin_orbital_expansion_rejected_before_allocating(self, monkeypatch):
+        mol = MolecularIntegrals(65, 2, 0, 0.0, np.zeros((1, 1)), np.zeros((1,) * 4))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        monkeypatch.setattr(integrals.np, "zeros", refuse)
+        with pytest.raises(CapExceeded, match="GiB"):
+            to_spin_orbitals(mol)
 
 
 class TestMolecularIntegralsInvariants:

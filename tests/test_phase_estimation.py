@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qfci.errors import IndexOutOfRange, MissingSector, WeightNormalization
+import qfci.phase_estimation as phase_estimation
+from qfci.errors import CapExceeded, IndexOutOfRange, MissingSector, WeightNormalization
 from qfci.guess import hf_determinant, random_sector_state
 from qfci.hamiltonian import FermionTerm, exact_eigensolve
 from qfci.phase_estimation import (
@@ -82,6 +85,23 @@ class TestPhaseBits:
         assert 0.0 <= PhaseBits((1,) * 12).value < 1.0
 
 
+    @given(st.integers(1, 52).flatmap(
+        lambda m: st.tuples(st.just(m), st.integers(0, (1 << m) - 1))))
+    def test_outcome_round_trip(self, case):
+        m, outcome = case
+        bits = PhaseBits.from_outcome(outcome, m)
+        assert bits.m == m and len(bits.bits) == m
+        assert set(bits.bits) <= {0, 1}
+        assert bits.outcome == outcome
+        assert PhaseBits.from_outcome(bits.outcome, m) == bits
+        assert bits.value == outcome / 2**m
+        window = EvolutionWindow(e_max=0.5, e_min=-1.5)
+        energy = decode_energy(bits, window)
+        assert energy == window.energy_of(bits.value)
+        assert window.e_min < energy <= window.e_max
+        assert window.phase_of(energy) == pytest.approx(bits.value, abs=1e-15)
+
+
 class TestFeedbackAngle:
     def test_empty(self):
         assert feedback_angle([]) == 0.0
@@ -158,6 +178,16 @@ class TestPeaDistribution:
     def test_weight_normalization_checked(self):
         with pytest.raises(WeightNormalization):
             pea_distribution([(0.5, 0.1)], 4)
+
+    def test_over_budget_rejected_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        monkeypatch.setattr(phase_estimation.np, "arange", refuse)
+        monkeypatch.setattr(phase_estimation.np, "zeros", refuse)
+        for m in (26, 52):
+            with pytest.raises(CapExceeded, match="GiB"):
+                pea_distribution([(1.0, 0.25)], m)
 
     def test_kernel_endpoints(self):
         assert pea_kernel(0.0, 8) == pytest.approx(1.0)

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
 
+import qfci.propagator as propagator
 from qfci.errors import DimensionMismatch, MissingSector
-from qfci.hamiltonian import FermionTerm, exact_eigensolve
+from qfci.hamiltonian import (
+    FermionTerm,
+    build_second_quantized,
+    exact_eigensolve,
+    jordan_wigner,
+)
+from qfci.integrals import random_molecular_integrals, to_spin_orbitals
 from qfci.propagator import (
     EvolutionWindow,
     TrotterPlan,
+    _group_strings,
+    _hermitian_groups,
     controlled_u_power_exact,
     recommend_slices,
     trotter_u,
@@ -279,6 +288,32 @@ class TestTrotter:
         sv = StateVector(4, amps.copy())
         trotter_u(sv, h2_terms, window, TrotterPlan(n_slices=64, term_order=order))
         assert np.linalg.norm(sv.amplitudes - ref.amplitudes) < 0.01
+
+
+class TestCompiledTrotter:
+    @pytest.mark.parametrize("n_orb", [0, 3, 4], ids=["h2", "random3", "random4"])
+    def test_group_strings_match_per_group_mapping(self, h2_terms, n_orb):
+        terms = h2_terms if n_orb == 0 else build_second_quantized(to_spin_orbitals(
+            random_molecular_integrals(n_orb, np.random.default_rng(n_orb))))
+        n = 4 if n_orb == 0 else 2 * n_orb
+        groups = _hermitian_groups(list(terms), None)
+        x, z, c = _group_strings(groups, n)
+        ops = [jordan_wigner(g, n) for g in groups]
+        assert np.array_equal(x, np.concatenate([op.x for op in ops]))
+        assert np.array_equal(z, np.concatenate([op.z for op in ops]))
+        assert np.array_equal(c, np.concatenate([op.coeffs.real for op in ops]))
+
+    def test_slice_matrix_matches_slices_applied_to_state(self, h2_terms, window,
+                                                          monkeypatch):
+        amps = random_state(4, 27)
+        plan = TrotterPlan(n_slices=40)  # more slices than the 16 columns
+        compiled = StateVector(4, amps.copy())
+        trotter_u(compiled, h2_terms, window, plan)
+        monkeypatch.setattr(propagator, "SLICE_MATRIX_BYTES", 0)
+        direct = StateVector(4, amps.copy())
+        trotter_u(direct, h2_terms, window, plan)
+        assert np.allclose(compiled.amplitudes, direct.amplitudes, atol=1e-13)
+        assert not np.array_equal(compiled.amplitudes, amps)
 
 
 class TestRecommendSlices:
