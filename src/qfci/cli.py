@@ -312,7 +312,7 @@ def _evaluate_point(
         if cfg.variant == "A":
             record, _ = ipea_a_run(sv, spectra, cfg, rng)
         else:
-            record = ipea_b_run(lambda: sv, spectra, cfg, rng)
+            record = ipea_b_run(sv, spectra, cfg, rng)
 
         result = {
             "label": point.label,

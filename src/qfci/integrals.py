@@ -66,6 +66,8 @@ def _canonical_two_body(i: int, j: int, k: int, l: int) -> tuple:
     return (ij, kl) if ij >= kl else (kl, ij)
 
 
+# case-insensitive search, not str.upper(), which can lengthen the text
+_HEADER_END = re.compile("&END", re.IGNORECASE)
 _HEADER_KV = re.compile(r"([A-Za-z0-9_]+)\s*=\s*([^=]*?)(?=(?:,\s*[A-Za-z0-9_]+\s*=)|$)")
 
 
@@ -113,8 +115,8 @@ def parse_fcidump(path: str | Path) -> MolecularIntegrals:
     for idx, line in enumerate(lines):
         stripped = line.strip()
         done = False
-        if "&END" in stripped.upper():
-            stripped = stripped[: stripped.upper().index("&END")]
+        if end := _HEADER_END.search(stripped):
+            stripped = stripped[: end.start()]
             done = True
         elif stripped == "/" or stripped.endswith("/"):
             stripped = stripped.rstrip("/")

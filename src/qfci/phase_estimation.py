@@ -43,7 +43,6 @@ class IpeaConfig:
     m: int = 20
     variant: str = "A"
     repetitions_per_bit: int = 1  # variant B; must be odd
-    whole_run_repeats: int = 1    # variant A amplification
     rng_seed: int | None = None
 
     def __post_init__(self):
@@ -53,8 +52,6 @@ class IpeaConfig:
             raise ValueError(f"variant must be 'A' or 'B', got {self.variant!r}")
         if self.repetitions_per_bit < 1 or self.repetitions_per_bit % 2 == 0:
             raise ValueError("repetitions_per_bit must be odd and positive")
-        if self.whole_run_repeats < 1:
-            raise ValueError("whole_run_repeats must be positive")
 
 
 @dataclass(frozen=True)
@@ -112,9 +109,11 @@ def feedback_angle(later_bits) -> float:
 
 
 def bit_probability(phase: float, k: int, omega: float) -> float:
-    """Born probability of reading 1 at iteration k for an eigenphase."""
-    arg = math.fmod(2.0 ** (k - 1) * phase + omega, 1.0)
-    return math.sin(math.pi * arg) ** 2
+    """Born probability of reading 1 at iteration k for an eigenphase.
+
+    The one-eigenphase case of _one_probability; omega in turns.
+    """
+    return float(_one_probability(np.ones(1), np.array([phase]), k, 2.0 * np.pi * omega))
 
 
 # -- analytic outcome distribution ---------------------------------------
@@ -183,18 +182,24 @@ def _as_statevector(guess, cap: int = 24) -> StateVector:
     return from_amplitudes(guess, cap)
 
 
+def _require_covered(amplitudes: np.ndarray, spectra: list[SectorSpectrum]) -> None:
+    """MissingSector if more than COVERAGE_TOL of the state's norm lies outside
+    the supplied blocks."""
+    amps = np.asarray(amplitudes).reshape(-1)
+    covered = sum(float(np.sum(np.abs(amps[b.determinants]) ** 2)) for b in spectra)
+    uncovered = float(np.sum(np.abs(amps) ** 2)) - covered
+    if uncovered > COVERAGE_TOL:
+        raise MissingSector(f"{uncovered:.3e} of guess norm outside supplied spectra")
+
+
 def state_decomposition(
     amplitudes: np.ndarray,
     spectra: list[SectorSpectrum],
     window: EvolutionWindow,
 ):
     """[(weight, phase, energy, (block, column))] for covered eigenpairs."""
-    weights, covered = eigen_weights(amplitudes, spectra)
-    total = float(np.sum(np.abs(amplitudes) ** 2))
-    if total - covered > COVERAGE_TOL:
-        raise MissingSector(
-            f"{total - covered:.3e} of guess norm outside supplied spectra"
-        )
+    weights, _ = eigen_weights(amplitudes, spectra)
+    _require_covered(amplitudes, spectra)
     out = []
     for (b, i), w in sorted(weights.items()):
         energy = float(spectra[b].eigenvalues[i])
@@ -212,13 +217,16 @@ def _reset_readout(joint: StateVector, last_bit: int) -> None:
         joint.amplitudes[half:] = 0.0
 
 
-def _max_eigen_overlap(system: np.ndarray, spectra) -> float:
-    best = 0.0
-    for block in spectra:
-        coeffs = block.eigenvectors.conj().T @ system[block.determinants]
-        if coeffs.size:
-            best = max(best, float(np.max(np.abs(coeffs) ** 2)))
-    return best
+def _dominant_pair(system: np.ndarray, spectra) -> tuple[float, tuple[int, int]]:
+    """(|<u|psi>|^2, (block, column)) of the eigenpair the state overlaps most;
+    ties go to the first pair in (block, column) order."""
+    best, pair = 0.0, None
+    for b, block in enumerate(spectra):
+        coeffs = np.abs(block.eigenvectors.conj().T @ system[block.determinants]) ** 2
+        if coeffs.size and (pair is None or coeffs.max() > best):
+            i = int(np.argmax(coeffs))
+            best, pair = float(coeffs[i]), (b, i)
+    return best, pair
 
 
 def ipea_a_run(
@@ -241,12 +249,10 @@ def ipea_a_run(
     system = _as_statevector(guess)
     n_sys = system.n_qubits
     readout = n_sys  # readout rides on top of the system bits
-
-    decomp = state_decomposition(system.amplitudes, spectra, cfg.window)
+    _require_covered(system.amplitudes, spectra)
 
     joint = new_register(n_sys + 1)
     joint.amplitudes[: 1 << n_sys] = system.amplitudes
-    joint.amplitudes[1 << n_sys:] = 0.0
 
     later: list[int] = []
     trace: list[float] = []
@@ -260,23 +266,24 @@ def ipea_a_run(
         last_bit, _ = measure_qubit(joint, readout, rng)
         later.insert(0, last_bit)
         if track_overlaps:
-            trace.append(_max_eigen_overlap(_system_branch(joint, last_bit), spectra))
+            trace.append(_dominant_pair(_system_branch(joint, last_bit), spectra)[0])
 
     final = StateVector(n_sys, _system_branch(joint, last_bit).copy())
     bits = PhaseBits(tuple(later))
     energy = decode_energy(bits, cfg.window)
 
-    weights, _ = eigen_weights(final.amplitudes, spectra)
-    block, col = max(weights, key=weights.get)
-    w0 = next((w for w, _, _, ref in decomp if ref == (block, col)), 0.0)
+    _, (block, col) = _dominant_pair(final.amplitudes, spectra)
+    spectrum = spectra[block]
+    w0 = abs(np.vdot(spectrum.eigenvectors[:, col],
+                     system.amplitudes[spectrum.determinants])) ** 2
     _, down, up = rounding_masses(
-        cfg.window.phase_of(float(spectra[block].eigenvalues[col])), cfg.m
+        cfg.window.phase_of(float(spectrum.eigenvalues[col])), cfg.m
     )
     record = OutcomeRecord(
         bits=bits,
         energy=energy,
-        p_down=w0 * down,
-        p_up=w0 * up,
+        p_down=float(w0 * down),
+        p_up=float(w0 * up),
         overlap_trace=tuple(trace) if track_overlaps else None,
     )
     return record, final
@@ -285,21 +292,6 @@ def ipea_a_run(
 def _system_branch(joint: StateVector, bit: int) -> np.ndarray:
     half = joint.amplitudes.size // 2
     return joint.amplitudes[half:] if bit else joint.amplitudes[:half]
-
-
-def ipea_a_repeat(
-    guess,
-    spectra: list[SectorSpectrum],
-    cfg: IpeaConfig,
-    rng: np.random.Generator | None = None,
-) -> list[OutcomeRecord]:
-    """whole_run_repeats independent variant-A runs (fresh guess each)."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.rng_seed)
-    return [
-        ipea_a_run(guess, spectra, cfg, rng)[0]
-        for _ in range(cfg.whole_run_repeats)
-    ]
 
 
 def ipea_a_success_probability(
@@ -314,8 +306,7 @@ def ipea_a_success_probability(
     m bits; p_up the probability of the next grid point (modular at 1).
     Both carry the target's squared overlap with the guess as a factor.
     """
-    system = _as_statevector(guess)
-    decomp = state_decomposition(system.amplitudes, spectra, cfg.window)
+    decomp = state_decomposition(_as_statevector(guess).amplitudes, spectra, cfg.window)
     for w, phase, _, ref in decomp:
         if ref == target:
             _, down, up = rounding_masses(phase, cfg.m)
@@ -345,77 +336,71 @@ def _majority_tail(reps: int, p):
     return acc if acc.ndim else float(acc)
 
 
-def _voted_one_probability(
-    weights: np.ndarray, phases: np.ndarray, k: int, m: int, v: np.ndarray
-) -> np.ndarray:
-    """Born probability of reading 1 at iteration k for each voted history v.
+def _one_probability(weights: np.ndarray, phases: np.ndarray, k: int, angle):
+    """Born probability of reading 1 at iteration k from an eigenphase mixture.
 
-    v holds the bits voted at iterations m..k+1 (bit m-j is phi_j), so the
-    feedback angle is omega = -v / 2^(m-k+1) turns.  With
-    S_k = sum_j w_j exp(2 pi i frac(2^(k-1) phi_j)), the eigenphase mixture
-    sum_j w_j sin^2(pi (2^(k-1) phi_j + omega)) equals
-    (sum_j w_j - Re(exp(2 pi i omega) S_k)) / 2.
+    angle = 2 pi omega is the feedback rotation in radians (scalar or
+    array).  With S_k = sum_j w_j exp(2 pi i frac(2^(k-1) phi_j)), the
+    eigenphase mixture sum_j w_j sin^2(pi (2^(k-1) phi_j + omega)) equals
+    (sum_j w_j - Re(exp(2 pi i omega) S_k)) / 2.  A voted history v (the
+    bits voted at iterations m..k+1, bit m-j being phi_j) has
+    omega = -v / 2^(m-k+1).
     """
     s_k = np.dot(weights, np.exp(2j * np.pi * np.mod(2.0 ** (k - 1) * phases, 1.0)))
-    angle = v * (-2.0 * np.pi * 2.0 ** (k - m - 1))
     re = np.cos(angle) * s_k.real - np.sin(angle) * s_k.imag
     return np.clip(0.5 * (weights.sum() - re), 0.0, 1.0)
 
 
+def _vote_runs(weights: np.ndarray, phases: np.ndarray, cfg: IpeaConfig, n_runs: int,
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Voted outcomes of n_runs variant-B runs and the ones-count of every bit.
+
+    Because the guess is rebuilt for every repetition, each measurement
+    is an independent Bernoulli draw from the eigenphase mixture, so a
+    bit's ones-count is one binomial draw per run and whole runs are
+    sampled in lockstep.  Returns (outcomes, ones); ones[i] holds the
+    counts of bit i, most significant first.  The weights must sum to 1.
+    """
+    if abs(weights.sum() - 1.0) > 1e-10:
+        raise WeightNormalization(f"weights sum to {float(weights.sum())!r}")
+    reps = cfg.repetitions_per_bit
+    m = cfg.m
+    v = np.zeros(n_runs, dtype=np.int64)
+    ones = np.empty((m, n_runs), dtype=np.int64)
+    for k in range(m, 0, -1):
+        angle = v * (-2.0 * np.pi * 2.0 ** (k - m - 1))
+        ones[k - 1] = rng.binomial(reps, _one_probability(weights, phases, k, angle))
+        v += (ones[k - 1] > reps // 2).astype(np.int64) << (m - k)
+    return v, ones
+
+
 def ipea_b_run(
-    guess_builder,
+    guess,
     spectra: list[SectorSpectrum],
     cfg: IpeaConfig,
     rng: np.random.Generator | None = None,
 ) -> OutcomeRecord:
     """Sampled variant-B run: fresh guess per repetition, majority vote.
 
-    guess_builder is invoked exactly once per repetition per bit.  The
-    record's p_down/p_up describe the eigenpair nearest the decoded
-    energy, weighted by its share of the (first-built) guess.
+    Sampled from the guess's eigen-mixture by _vote_runs.  The record's
+    p_down/p_up describe the eigenpair nearest the decoded energy,
+    weighted by its share of the guess.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
-    reps = cfg.repetitions_per_bit
-    later: list[int] = []
-    stats: list[tuple[int, int]] = []
-    decomp = None
-
-    for k in range(cfg.m, 0, -1):
-        omega = feedback_angle(later)
-        ones = 0
-        for _ in range(reps):
-            system = _as_statevector(guess_builder())
-            if decomp is None:
-                decomp = state_decomposition(system.amplitudes, spectra, cfg.window)
-            n_sys = system.n_qubits
-            joint = new_register(n_sys + 1)
-            joint.amplitudes[: 1 << n_sys] = system.amplitudes
-            joint.amplitudes[1 << n_sys:] = 0.0
-            apply_gate(joint, HADAMARD, n_sys)
-            controlled_u_power_exact(joint, spectra, cfg.window, 1 << (k - 1), n_sys)
-            apply_gate(joint, rz_phase(omega), n_sys)
-            apply_gate(joint, HADAMARD, n_sys)
-            bit, _ = measure_qubit(joint, n_sys, rng)
-            ones += bit
-        later.insert(0, 1 if ones > reps // 2 else 0)
-        stats.insert(0, (ones, reps))
-
-    bits = PhaseBits(tuple(later))
+    decomp = state_decomposition(_as_statevector(guess).amplitudes, spectra, cfg.window)
+    weights, phases = np.array([row[:2] for row in decomp], dtype=float).T
+    v, ones = _vote_runs(weights, phases, cfg, 1, rng)
+    bits = PhaseBits.from_outcome(int(v[0]), cfg.m)
     energy = decode_energy(bits, cfg.window)
-    w0, phase0 = min(
-        ((w, ph) for w, ph, e, _ in decomp),
-        key=lambda t: abs(
-            (t[1] - bits.value + 0.5) % 1.0 - 0.5
-        ),
-    )
-    _, down, up = rounding_masses(phase0, cfg.m)
+    near = int(np.argmin(np.abs(np.mod(phases - bits.value + 0.5, 1.0) - 0.5)))
+    _, down, up = rounding_masses(phases[near], cfg.m)
     return OutcomeRecord(
         bits=bits,
         energy=energy,
-        p_down=w0 * down,
-        p_up=w0 * up,
-        per_bit_stats=tuple(stats),
+        p_down=float(weights[near] * down),
+        p_up=float(weights[near] * up),
+        per_bit_stats=tuple((int(n), cfg.repetitions_per_bit) for n in ones[:, 0]),
     )
 
 
@@ -425,26 +410,12 @@ def sample_b_outcomes(
     n_runs: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized Monte Carlo of the variant-B voted outcome.
+    """Voted outcomes of n_runs variant-B runs, sampled without statevectors.
 
-    Because the register is rebuilt for every repetition, each
-    measurement is an independent Bernoulli draw from the eigenstate
-    mixture, so whole runs can be sampled in lockstep from binomial
-    draws without touching statevectors.  weights holds (weight, phase)
-    pairs of the guess decomposition.
+    weights holds (weight, phase) pairs of the guess decomposition.
     """
-    total = sum(w for w, _ in weights)
-    if abs(total - 1.0) > 1e-10:
-        raise WeightNormalization(f"weights sum to {total!r}")
     w, phases = np.array(weights, dtype=float).T
-    reps = cfg.repetitions_per_bit
-    m = cfg.m
-    v = np.zeros(n_runs, dtype=np.int64)
-    for k in range(m, 0, -1):
-        ones = rng.binomial(reps, _voted_one_probability(w, phases, k, m, v))
-        votes = (ones > reps // 2).astype(np.int64)
-        v += votes << (m - k)
-    return v
+    return _vote_runs(w, phases, cfg, n_runs, rng)[0]
 
 
 @dataclass(frozen=True)
@@ -474,8 +445,7 @@ def ipea_b_success_probability(
     Each level sets a new bit, so children never merge and a level is
     one filter over the concatenated 1- and 0-children.
     """
-    system = _as_statevector(guess)
-    decomp = state_decomposition(system.amplitudes, spectra, cfg.window)
+    decomp = state_decomposition(_as_statevector(guess).amplitudes, spectra, cfg.window)
     target_row = next((row for row in decomp if row[3] == target), None)
     if target_row is None:
         raise KeyError(f"target {target} not found in spectra")
@@ -490,7 +460,8 @@ def ipea_b_success_probability(
     pruned = 0.0
     peak = 1
     for k in range(m, 0, -1):
-        q1 = _majority_tail(reps, _voted_one_probability(weights, phases, k, m, v))
+        angle = v * (-2.0 * np.pi * 2.0 ** (k - m - 1))
+        q1 = _majority_tail(reps, _one_probability(weights, phases, k, angle))
         q = np.concatenate((q1, 1.0 - q1))
         share = np.concatenate((mass, mass)) * q
         live = q > 0.0

@@ -1,8 +1,9 @@
 """Independent dense oracles used to cross-check the sparse kernels.
 
 Everything here is built from first principles (explicit matrices over
-occupation bitstrings, scalar loops over histories) and deliberately
-shares no code with the package internals it validates.
+occupation bitstrings, scalar loops over histories, gate-by-gate
+register simulation) and deliberately shares no code with the package
+internals it validates.
 """
 import math
 from itertools import combinations
@@ -10,6 +11,9 @@ from itertools import combinations
 import numpy as np
 
 from qfci.hamiltonian import FermionTerm, PauliOperator, PauliString
+from qfci.phase_estimation import PhaseBits, feedback_angle
+from qfci.propagator import controlled_u_power_exact
+from qfci.statevector import HADAMARD, apply_gate, measure_qubit, new_register, rz_phase
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -114,6 +118,33 @@ def b_success_by_dict(weights, m: int, reps: int, b_down: int, b_up: int,
         frontier = nxt
         peak = max(peak, len(frontier))
     return frontier.get(b_down, 0.0) + frontier.get(b_up, 0.0), pruned, peak
+
+
+def ipea_b_run_gate_level(guess, spectra, cfg, rng):
+    """One variant-B run simulated gate by gate on the statevector register.
+
+    Every repetition of every bit rebuilds the joint register (readout on
+    top of the guess's n qubits), applies H, controlled-U^(2^(k-1)),
+    Rz(omega_k) and H to the readout and measures it.  Returns the voted
+    outcome and the ones-count of every bit, most significant first.
+    """
+    n = guess.n_qubits
+    reps = cfg.repetitions_per_bit
+    later, ones_per_bit = [], []
+    for k in range(cfg.m, 0, -1):
+        omega = feedback_angle(later)
+        ones = 0
+        for _ in range(reps):
+            joint = new_register(n + 1)
+            joint.amplitudes[: 1 << n] = guess.amplitudes
+            apply_gate(joint, HADAMARD, n)
+            controlled_u_power_exact(joint, spectra, cfg.window, 1 << (k - 1), n)
+            apply_gate(joint, rz_phase(omega), n)
+            apply_gate(joint, HADAMARD, n)
+            ones += measure_qubit(joint, n, rng)[0]
+        later.insert(0, int(ones > reps // 2))
+        ones_per_bit.insert(0, ones)
+    return PhaseBits(tuple(later)).outcome, tuple(ones_per_bit)
 
 
 def sector_matrix_by_loop(terms, n_so: int, sector) -> np.ndarray:

@@ -84,6 +84,20 @@ class TestParseFcidump:
         p = write(tmp_path, "0.25 0 0 0 0\n", header="&FCI NORB=2,NELEC=2,MS2=0,\n /\n")
         assert parse_fcidump(p).core_energy == 0.25
 
+    @pytest.mark.parametrize("header", [
+        "&FCI TITLE=straße,NORB=1,NELEC=2&END\n",
+        "&fci norb=1,nelec=2,&end\n",
+    ])
+    def test_end_terminator_any_case(self, tmp_path, header):
+        mol = parse_fcidump(write(tmp_path, "0.25 0 0 0 0\n", header=header))
+        assert (mol.n_orb, mol.n_elec, mol.core_energy) == (1, 2, 0.25)
+
+    def test_end_terminator_not_quoted_in_error(self, tmp_path):
+        p = write(tmp_path, "0.25 0 0 0 0\n", header="&FCI NORB=1,NELEC=2,ß&END\n")
+        with pytest.raises(ParseError) as info:
+            parse_fcidump(p)
+        assert "bad integer for NELEC: '2,ß'" in str(info.value)
+
     def test_orbital_energy_lines_skipped(self, tmp_path):
         # `value i 0 0 0` records an orbital energy; it maps to no tensor
         p = write(tmp_path, "-0.5 1 0 0 0\n0.25 0 0 0 0\n")

@@ -14,7 +14,6 @@ from qfci.phase_estimation import (
     bit_probability,
     decode_energy,
     feedback_angle,
-    ipea_a_repeat,
     ipea_a_run,
     ipea_a_success_probability,
     ipea_b_run,
@@ -36,7 +35,7 @@ from qfci.statevector import (
     rz_phase,
 )
 
-from tests.oracles import b_success_by_dict
+from tests.oracles import b_success_by_dict, ipea_b_run_gate_level
 
 EIGHT_OVER_PI_SQ = 8.0 / np.pi**2
 
@@ -63,8 +62,6 @@ class TestConfig:
             IpeaConfig(window=window, variant="C")
         with pytest.raises(ValueError):
             IpeaConfig(window=window, repetitions_per_bit=4)
-        with pytest.raises(ValueError):
-            IpeaConfig(window=window, whole_run_repeats=0)
 
     def test_defaults(self, window):
         cfg = IpeaConfig(window=window)
@@ -274,12 +271,6 @@ class TestIpeaVariantA:
         assert trace[-1] >= 1 - 1e-9
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
 
-    def test_whole_run_repeats(self, h2_hf_state, h2_spectrum_11, window):
-        cfg = IpeaConfig(window=window, m=4, whole_run_repeats=5, rng_seed=1)
-        records = ipea_a_repeat(h2_hf_state, [h2_spectrum_11], cfg)
-        assert len(records) == 5
-        assert all(0 <= r.p_tot <= 1 + 1e-12 for r in records)
-
     def test_missing_sector_guess_rejected(self, h2_spectrum_11, window):
         sv = StateVector(4, np.zeros(16, complex))
         sv.amplitudes[0b0001] = 1.0
@@ -326,24 +317,9 @@ class TestIpeaVariantB:
         sv, spectra, window = diagonal_system(0.25, 1.0, 0.0)
         cfg = IpeaConfig(window=window, m=2, variant="B", repetitions_per_bit=1,
                          rng_seed=5)
-        rec = ipea_b_run(lambda: sv, spectra, cfg)
+        rec = ipea_b_run(sv, spectra, cfg)
         assert rec.bits.bits == (1, 1)
         assert rec.per_bit_stats == ((1, 1), (1, 1))
-
-    def test_builder_called_once_per_repetition_per_bit(
-        self, h2_hf_state, h2_spectrum_11, window
-    ):
-        calls = 0
-
-        def builder():
-            nonlocal calls
-            calls += 1
-            return h2_hf_state
-
-        cfg = IpeaConfig(window=window, m=6, variant="B", repetitions_per_bit=5,
-                         rng_seed=2)
-        ipea_b_run(builder, [h2_spectrum_11], cfg)
-        assert calls == 6 * 5
 
     def test_majority_tail_exact_binomial(self):
         assert _majority_tail(51, 0.75) >= 0.9998
@@ -386,11 +362,26 @@ class TestIpeaVariantB:
         runs = 800
         rng = np.random.default_rng(17)
         for _ in range(runs):
-            rec = ipea_b_run(lambda: h2_hf_state, [h2_spectrum_11], cfg, rng)
-            if rec.bits.outcome in (b, (b + 1) % (1 << m)):
+            outcome, _ = ipea_b_run_gate_level(h2_hf_state, [h2_spectrum_11], cfg, rng)
+            if outcome in (b, (b + 1) % (1 << m)):
                 hits += 1
         sigma = np.sqrt(p_exact * (1 - p_exact) / runs)
         assert abs(hits / runs - p_exact) < 4 * sigma + 1e-9
+
+    @pytest.mark.parametrize("guess_seed", [0, 1, 2, 3])
+    def test_run_and_sampler_share_one_engine(self, guess_seed, h2_spectrum_11, window):
+        sv = random_sector_state(
+            2, (1, 1), np.random.default_rng(guess_seed)).to_statevector()
+        cfg = IpeaConfig(window=window, m=12, variant="B", repetitions_per_bit=5)
+        weights = [(w, ph) for w, ph, _, _ in
+                   state_decomposition(sv.amplitudes, [h2_spectrum_11], window)]
+        rec = ipea_b_run(sv, [h2_spectrum_11], cfg, np.random.default_rng(guess_seed))
+        v = sample_b_outcomes(weights, cfg, 1, np.random.default_rng(guess_seed))
+        assert rec.bits.outcome == v[0]
+        assert [reps for _, reps in rec.per_bit_stats] == [5] * 12
+        assert tuple(int(ones > reps // 2) for ones, reps in rec.per_bit_stats) == (
+            rec.bits.bits
+        )
 
     def test_recursion_matches_fast_sampler(self, h2_hf_state, h2_spectrum_11,
                                             window):
@@ -451,10 +442,12 @@ class TestIpeaVariantB:
                 np.full(6, 6**-0.5), [h2_spectrum_11], cfg, (0, 0)
             )
 
-    def test_sampler_weight_validation(self, window):
+    def test_sampler_weight_validation(self, h2_hf_state, h2_spectrum_11, window):
         cfg = IpeaConfig(window=window, m=4, variant="B", repetitions_per_bit=3)
         with pytest.raises(WeightNormalization):
             sample_b_outcomes([(0.5, 0.1)], cfg, 10, np.random.default_rng(0))
+        with pytest.raises(WeightNormalization):
+            ipea_b_run(0.5 * h2_hf_state.amplitudes, [h2_spectrum_11], cfg)
 
 
 class TestDecodeEnergy:
