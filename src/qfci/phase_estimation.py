@@ -152,9 +152,7 @@ def pea_distribution(weights: list[tuple[float, float]], m: int) -> np.ndarray:
             f"an m={m} outcome distribution needs about {need / 2**30:.3g} GiB, "
             f"above the {DISTRIBUTION_BYTE_BUDGET / 2**30:.3g} GiB budget"
         )
-    total = sum(w for w, _ in weights)
-    if abs(total - 1.0) > 1e-10:
-        raise WeightNormalization(f"weights sum to {total!r}")
+    _require_normalized([w for w, _ in weights])
     size = 1 << m
     outcomes = np.arange(size, dtype=float)
     dist = np.zeros(size)
@@ -182,6 +180,13 @@ def _as_statevector(guess, cap: int = 24) -> StateVector:
     return from_amplitudes(guess, cap)
 
 
+def _require_normalized(weights) -> None:
+    """WeightNormalization unless the weights sum to 1 within 1e-10."""
+    total = float(np.sum(weights))
+    if abs(total - 1.0) > 1e-10:
+        raise WeightNormalization(f"weights sum to {total!r}")
+
+
 def _require_covered(amplitudes: np.ndarray, spectra: list[SectorSpectrum]) -> None:
     """MissingSector if more than COVERAGE_TOL of the state's norm lies outside
     the supplied blocks."""
@@ -197,9 +202,10 @@ def state_decomposition(
     spectra: list[SectorSpectrum],
     window: EvolutionWindow,
 ):
-    """[(weight, phase, energy, (block, column))] for covered eigenpairs."""
+    """[(weight, phase, energy, (block, column))] of a covered, normalised state."""
     weights, _ = eigen_weights(amplitudes, spectra)
     _require_covered(amplitudes, spectra)
+    _require_normalized(list(weights.values()))
     out = []
     for (b, i), w in sorted(weights.items()):
         energy = float(spectra[b].eigenvalues[i])
@@ -304,7 +310,8 @@ def ipea_a_success_probability(
 
     p_down is the probability of reading the target's phase truncated to
     m bits; p_up the probability of the next grid point (modular at 1).
-    Both carry the target's squared overlap with the guess as a factor.
+    Both carry the target's squared overlap with the guess, which must be
+    normalised (WeightNormalization), as a factor.
     """
     decomp = state_decomposition(_as_statevector(guess).amplitudes, spectra, cfg.window)
     for w, phase, _, ref in decomp:
@@ -361,8 +368,7 @@ def _vote_runs(weights: np.ndarray, phases: np.ndarray, cfg: IpeaConfig, n_runs:
     sampled in lockstep.  Returns (outcomes, ones); ones[i] holds the
     counts of bit i, most significant first.  The weights must sum to 1.
     """
-    if abs(weights.sum() - 1.0) > 1e-10:
-        raise WeightNormalization(f"weights sum to {float(weights.sum())!r}")
+    _require_normalized(weights)
     reps = cfg.repetitions_per_bit
     m = cfg.m
     v = np.zeros(n_runs, dtype=np.int64)
@@ -420,9 +426,28 @@ def sample_b_outcomes(
 
 @dataclass(frozen=True)
 class BSuccessDetail:
+    """ipea_b_success_probability's detail: the two target paths are exact,
+    so pruned_mass is 0.0 and n_histories (paths evaluated) is 2."""
     probability: float
     pruned_mass: float
     n_histories: int
+
+
+def _path_masses(weights: np.ndarray, phases: np.ndarray, m: int, reps: int,
+                 outcomes: np.ndarray) -> np.ndarray:
+    """Probability of voting each outcome at m bits and reps repetitions.
+
+    Each level votes a new bit, so an outcome b has one history: its mass
+    is the product, in level order, of the majority probability of bit m-k
+    of b given the prefix b & (2^(m-k) - 1) voted before level k.  A tail
+    rounded a few ulp past 1 leaves its complement at 0.
+    """
+    i = np.arange(m)[:, None]  # level k = m - i votes bit i
+    angle = (outcomes & ((1 << i) - 1)) * (-2.0 * np.pi * 2.0 ** (-i - 1.0))
+    one = [_one_probability(weights, phases, m - j, angle[j]) for j in range(m)]
+    q1 = _majority_tail(reps, np.array(one))
+    factor = np.where((outcomes >> i) & 1, q1, 1.0 - q1)
+    return np.multiply.reduce(np.maximum(factor, 0.0), axis=0)
 
 
 def ipea_b_success_probability(
@@ -430,50 +455,24 @@ def ipea_b_success_probability(
     spectra: list[SectorSpectrum],
     cfg: IpeaConfig,
     target: tuple[int, int],
-    prune_tol: float = 1e-12,
     return_detail: bool = False,
 ):
-    """Exact variant-B success probability by history recursion.
+    """Exact variant-B success probability of a normalised guess.
 
-    Walks the tree of voted-bit histories level by level, propagating
-    exact binomial majority probabilities; branches below prune_tol of
-    probability mass are dropped (the discarded mass bounds the
-    truncation error and is available via return_detail).  Success means
-    the final outcome hits the target phase rounded down or up (modular).
-
-    The frontier is a pair of flat arrays (voted bits so far, mass).
-    Each level sets a new bit, so children never merge and a level is
-    one filter over the concatenated 1- and 0-children.
+    Success means voting the target phase rounded down or up (modular):
+    the two outcomes' path masses (_path_masses), summed and clipped at 1.
     """
     decomp = state_decomposition(_as_statevector(guess).amplitudes, spectra, cfg.window)
     target_row = next((row for row in decomp if row[3] == target), None)
     if target_row is None:
         raise KeyError(f"target {target} not found in spectra")
-    b_down, _, _ = rounding_masses(target_row[1], cfg.m)
-    b_up = (b_down + 1) % (1 << cfg.m)
-
     weights, phases = np.array([row[:2] for row in decomp], dtype=float).T
-    reps = cfg.repetitions_per_bit
-    m = cfg.m
-    v = np.zeros(1, dtype=np.int64)
-    mass = np.ones(1)
-    pruned = 0.0
-    peak = 1
-    for k in range(m, 0, -1):
-        angle = v * (-2.0 * np.pi * 2.0 ** (k - m - 1))
-        q1 = _majority_tail(reps, _one_probability(weights, phases, k, angle))
-        q = np.concatenate((q1, 1.0 - q1))
-        share = np.concatenate((mass, mass)) * q
-        live = q > 0.0
-        keep = live & (share >= prune_tol)
-        pruned += float(share[live & ~keep].sum())
-        v = np.concatenate((v + (1 << (m - k)), v))[keep]
-        mass = share[keep]
-        peak = max(peak, v.size)
-
-    prob = float(mass[v == b_down].sum() + mass[v == b_up].sum())
+    b_down, _, _ = rounding_masses(target_row[1], cfg.m)
+    outcomes = np.array([b_down, (b_down + 1) % (1 << cfg.m)], dtype=np.int64)
+    mass = _path_masses(weights, phases, cfg.m, cfg.repetitions_per_bit, outcomes)
+    prob = min(float(mass[0] + mass[1]), 1.0)
     if return_detail:
-        return prob, BSuccessDetail(prob, pruned, peak)
+        return prob, BSuccessDetail(prob, 0.0, 2)
     return prob
 
 

@@ -82,10 +82,12 @@ def b_success_by_dict(weights, m: int, reps: int, b_down: int, b_up: int,
                       prune_tol: float = 1e-12):
     """Variant-B success probability by a dict of voted-bit histories.
 
-    Reference for the package's array recursion: one scalar Born
-    probability per history and eigencomponent, exact binomial majority
-    sums, and the same pruning rule.  weights holds (weight, phase-in-turns)
-    pairs; returns (probability, pruned mass, peak number of histories).
+    Walks the whole history tree: one scalar Born probability per history
+    and eigencomponent and exact binomial majority sums.  Histories whose
+    mass falls below prune_tol are dropped; with prune_tol=0.0 nothing is
+    dropped and the result is the exact reference for the package's
+    two-path product.  weights holds (weight, phase-in-turns) pairs;
+    returns (probability, pruned mass, peak number of histories).
     """
     need = reps // 2 + 1
 

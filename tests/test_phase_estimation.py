@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qfci.phase_estimation as phase_estimation
@@ -428,12 +428,45 @@ class TestIpeaVariantB:
         )
         decomp = state_decomposition(sv.amplitudes, [h2_spectrum_11], window)
         b, _, _ = rounding_masses(window.phase_of(h2_spectrum_11.eigenvalues[0]), m)
-        p_ref, pruned_ref, peak_ref = b_success_by_dict(
-            [(w, ph) for w, ph, _, _ in decomp], m, reps, b, (b + 1) % (1 << m)
+        p_ref, _, _ = b_success_by_dict(
+            [(w, ph) for w, ph, _, _ in decomp], m, reps, b, (b + 1) % (1 << m),
+            prune_tol=0.0,
         )
         assert abs(p - p_ref) <= 1e-14
-        assert abs(detail.pruned_mass - pruned_ref) <= 1e-14
-        assert detail.n_histories == peak_ref
+        assert detail == phase_estimation.BSuccessDetail(p, 0.0, 2)
+
+    @pytest.mark.parametrize("target", [(0, 0), (0, 1)])
+    def test_success_within_unit_interval(self, target, h2_hf_state, h2_spectrum_11,
+                                          window):
+        # the majority tail rounds a few ulp past 1 here: unclipped, the two
+        # target paths sum to 1.0000000000000007 for (0, 0), and a factor
+        # 1 - tail < 0 makes (0, 1) come out at -3.9e-16
+        cfg = IpeaConfig(window=window, m=3, variant="B", repetitions_per_bit=101)
+        p = ipea_b_success_probability(h2_hf_state, [h2_spectrum_11], cfg, target)
+        assert 0.0 <= p <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)
+           .filter(lambda xs: sum(x * x for x in xs) > 1e-3),
+           m=st.integers(1, 10), half_reps=st.integers(0, 10), target=st.integers(0, 3))
+    def test_paths_match_unpruned_tree(self, parts, m, half_reps, target,
+                                       h2_spectrum_11, window):
+        amps = np.zeros(16, complex)
+        amps[h2_spectrum_11.determinants] = np.array(parts[:4]) + 1j * np.array(parts[4:])
+        amps /= np.linalg.norm(amps)
+        reps = 2 * half_reps + 1
+        cfg = IpeaConfig(window=window, m=m, variant="B", repetitions_per_bit=reps)
+        p = ipea_b_success_probability(amps, [h2_spectrum_11], cfg, (0, target))
+        decomp = state_decomposition(amps, [h2_spectrum_11], window)
+        b, _, _ = rounding_masses(decomp[target][1], m)
+        weights = [(w, ph) for w, ph, _, _ in decomp]
+        p_ref, _, _ = b_success_by_dict(weights, m, reps, b, (b + 1) % (1 << m),
+                                        prune_tol=0.0)
+        assert 0.0 <= p <= 1.0
+        assert abs(p - p_ref) <= 1e-14
+        w, ph = np.array(weights).T
+        masses = phase_estimation._path_masses(w, ph, m, reps, np.arange(1 << m))
+        assert abs(masses.sum() - 1.0) <= 1e-12
 
     def test_raw_amplitudes_must_be_power_of_two(self, h2_spectrum_11, window):
         cfg = IpeaConfig(window=window, m=4, variant="B", repetitions_per_bit=3)
@@ -448,6 +481,16 @@ class TestIpeaVariantB:
             sample_b_outcomes([(0.5, 0.1)], cfg, 10, np.random.default_rng(0))
         with pytest.raises(WeightNormalization):
             ipea_b_run(0.5 * h2_hf_state.amplitudes, [h2_spectrum_11], cfg)
+
+    @pytest.mark.parametrize("success_probability", [ipea_a_success_probability,
+                                                     ipea_b_success_probability])
+    def test_success_probability_weight_validation(self, success_probability,
+                                                   h2_hf_state, h2_spectrum_11, window):
+        # twice the HF amplitudes gave variant A p_up = 3.69 at m=8
+        cfg = IpeaConfig(window=window, m=8, variant="B", repetitions_per_bit=3)
+        with pytest.raises(WeightNormalization):
+            success_probability(2.0 * h2_hf_state.amplitudes, [h2_spectrum_11], cfg,
+                                (0, 0))
 
 
 class TestDecodeEnergy:
