@@ -29,11 +29,10 @@ from .guess import (
     random_sector_state,
 )
 from .hamiltonian import (
+    _populated_sectors,
     build_second_quantized,
-    eigen_weights,
     exact_eigensolve,
     jordan_wigner,
-    sector_of,
 )
 from .integrals import (
     parse_fcidump,
@@ -42,6 +41,8 @@ from .integrals import (
 )
 from .phase_estimation import (
     IpeaConfig,
+    _decompose,
+    _pair_index,
     ipea_a_run,
     ipea_a_success_probability,
     ipea_b_run,
@@ -233,14 +234,12 @@ class _LastHamiltonian:
         return self.spectra[sector]
 
 
-def _window_warning(label: str, sv, spectra, window: EvolutionWindow) -> str | None:
+def _window_warning(label: str, weights: np.ndarray, energies: np.ndarray,
+                    window: EvolutionWindow) -> str | None:
     """Name the populated eigenvalue farthest outside (e_min, e_max], if any."""
-    weights, _ = eigen_weights(sv.amplitudes, spectra)
-    outside = []
-    for (b, i), w in weights.items():
-        energy = float(spectra[b].eigenvalues[i])
-        if w > POPULATED_TOL and not window.e_min < energy <= window.e_max:
-            outside.append((max(energy - window.e_max, window.e_min - energy), energy))
+    outside = [(max(e - window.e_max, window.e_min - e), e)
+               for e in energies[weights > POPULATED_TOL].tolist()
+               if not window.e_min < e <= window.e_max]
     if not outside:
         return None
     margin, energy = max(outside)
@@ -277,19 +276,17 @@ def _evaluate_point(
                 f"guess spans {sv.n_qubits} qubits but system has {soi.n_so}"
             )
 
-        support = np.nonzero(sv.amplitudes)[0]
-        sectors = {sector_of(int(i), mol.n_orb) for i in support}
-        sectors.add(point.sector)
-        spectra = [hamiltonian.spectrum(s) for s in sorted(sectors)]
-        block = sorted(sectors).index(point.sector)
+        sectors = sorted(_populated_sectors(sv.amplitudes, mol.n_orb) | {point.sector})
+        spectra = [hamiltonian.spectrum(s) for s in sectors]
+        block = sectors.index(point.sector)
         target = (block, point.target)
-        outside = _window_warning(point.label, sv, spectra, cfg.window)
+        weights, _, energies = _decompose(sv.amplitudes, spectra, cfg.window)
+        outside = _window_warning(point.label, weights, energies, cfg.window)
         if outside:
             warnings.append(outside)
 
         fci_energy = float(spectra[block].eigenvalues[point.target])
-        u_target = spectra[block].embed(point.target, soi.n_so)
-        overlap_sq = float(abs(np.vdot(u_target, sv.amplitudes)) ** 2)
+        overlap_sq = float(weights[_pair_index(spectra, target)])
 
         p_down, p_up = ipea_a_success_probability(sv, spectra, cfg, target)
         b_success = {

@@ -14,11 +14,13 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .errors import DimensionMismatch, SectorTooLarge
+from .errors import DimensionMismatch, MissingSector, SectorTooLarge
 from .integrals import SpinOrbitalIntegrals
 
 # Pauli strings below this magnitude are dropped during mapping
 PRUNE_TOL = 1e-14
+# Squared norm a propagated or decomposed state may keep outside the spectra
+UNCOVERED_TOL = 1e-12
 # Peak bytes per matrix element of a dense sector solve: the float64
 # matrix, eigh's copy of it, its divide-and-conquer workspace (two
 # matrices) and the eigenvectors; measured at 5.1-5.3 x 8 bytes
@@ -541,20 +543,19 @@ def exact_eigensolve(
     )
 
 
+def _populated_sectors(amplitudes: np.ndarray, n_orb: int) -> set[tuple[int, int]]:
+    """Particle-number sectors of every nonzero amplitude."""
+    return {sector_of(int(i), n_orb) for i in np.flatnonzero(amplitudes)}
+
+
 def spectra_for_state(
     terms: Sequence[FermionTerm],
     n_so: int,
     amplitudes: np.ndarray,
-    cap: int = SECTOR_CAP,
-    tol: float = 1e-14,
 ) -> list[SectorSpectrum]:
     """Eigensolve every particle-number sector the state populates."""
-    amps = np.asarray(amplitudes).reshape(-1)
-    n_orb = n_so // 2
-    sectors = sorted(
-        {sector_of(int(i), n_orb) for i in np.nonzero(np.abs(amps) > tol)[0]}
-    )
-    return [exact_eigensolve(terms, n_so, s, cap=cap) for s in sectors]
+    sectors = sorted(_populated_sectors(amplitudes, n_so // 2))
+    return [exact_eigensolve(terms, n_so, s) for s in sectors]
 
 
 def _require_disjoint(spectra: list[SectorSpectrum]) -> None:
@@ -570,21 +571,46 @@ def _require_disjoint(spectra: list[SectorSpectrum]) -> None:
         raise DimensionMismatch("supplied spectra share a determinant")
 
 
+def eigen_coefficients(amplitudes: np.ndarray, spectra: list[SectorSpectrum]):
+    """Project a register state onto the block eigenvectors.
+
+    Returns (coefficients, uncovered): coefficients[b] = u_b^dagger psi[dets_b]
+    for each block, and uncovered = |psi|^2 minus the blocks' squared norms
+    summed in block order.  Blocks that share a determinant, or that index
+    past the register, raise DimensionMismatch.
+    """
+    _require_disjoint(spectra)
+    amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+    coefficients = []
+    covered = 0.0
+    for block in spectra:
+        dets = np.asarray(block.determinants)
+        if int(dets.max(initial=0)) >= amps.size:
+            raise DimensionMismatch(f"spectrum determinants exceed {amps.size} amplitudes")
+        sub = amps[dets]
+        covered += float(np.sum(np.abs(sub) ** 2))
+        coefficients.append(block.eigenvectors.conj().T @ sub)
+    return coefficients, float(np.sum(np.abs(amps) ** 2)) - covered
+
+
+def covered_coefficients(amplitudes: np.ndarray,
+                         spectra: list[SectorSpectrum]) -> list[np.ndarray]:
+    """eigen_coefficients of a state the spectra cover: MissingSector if more
+    than UNCOVERED_TOL of its squared norm lies outside the blocks."""
+    coefficients, uncovered = eigen_coefficients(amplitudes, spectra)
+    if uncovered > UNCOVERED_TOL:
+        raise MissingSector(f"{uncovered:.3e} of squared norm outside supplied spectra")
+    return coefficients
+
+
 def eigen_weights(amplitudes: np.ndarray, spectra: list[SectorSpectrum]):
     """Decompose a register state over block eigenvectors.
 
     Returns (weights, covered) where weights[(block, column)] = |<u|psi>|^2
-    and covered is the total probability accounted for.  Blocks that
-    share a determinant raise DimensionMismatch.
+    and covered is the total probability accounted for.  Errors are those
+    of eigen_coefficients.
     """
-    _require_disjoint(spectra)
-    amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-    weights: dict[tuple[int, int], float] = {}
-    covered = 0.0
-    for b, block in enumerate(spectra):
-        sub = amps[block.determinants]
-        coeffs = block.eigenvectors.conj().T @ sub
-        covered += float(np.sum(np.abs(sub) ** 2))
-        for i, c in enumerate(coeffs):
-            weights[(b, i)] = float(abs(c) ** 2)
-    return weights, covered
+    coefficients, uncovered = eigen_coefficients(amplitudes, spectra)
+    weights = {(b, i): abs(c) ** 2 for b, block in enumerate(coefficients)
+               for i, c in enumerate(block.tolist())}
+    return weights, float(np.sum(np.abs(np.asarray(amplitudes)) ** 2)) - uncovered

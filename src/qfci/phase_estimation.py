@@ -14,9 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, MissingSector, WeightNormalization
+from .errors import CapExceeded, WeightNormalization
 from .guess import GuessState
-from .hamiltonian import SECTOR_BYTE_BUDGET, SectorSpectrum, eigen_weights
+from .hamiltonian import (
+    SECTOR_BYTE_BUDGET,
+    SectorSpectrum,
+    covered_coefficients,
+    eigen_coefficients,
+)
 from .propagator import EvolutionWindow, controlled_u_power_exact
 from .statevector import (
     HADAMARD,
@@ -28,7 +33,6 @@ from .statevector import (
     rz_phase,
 )
 
-COVERAGE_TOL = 1e-12
 # A float64 phase carries 52 fractional bits; more cannot be resolved.
 MAX_BITS = 52
 # Peak bytes per outcome of pea_distribution, whose temporaries measured
@@ -187,14 +191,27 @@ def _require_normalized(weights) -> None:
         raise WeightNormalization(f"weights sum to {total!r}")
 
 
-def _require_covered(amplitudes: np.ndarray, spectra: list[SectorSpectrum]) -> None:
-    """MissingSector if more than COVERAGE_TOL of the state's norm lies outside
-    the supplied blocks."""
-    amps = np.asarray(amplitudes).reshape(-1)
-    covered = sum(float(np.sum(np.abs(amps[b.determinants]) ** 2)) for b in spectra)
-    uncovered = float(np.sum(np.abs(amps) ** 2)) - covered
-    if uncovered > COVERAGE_TOL:
-        raise MissingSector(f"{uncovered:.3e} of guess norm outside supplied spectra")
+def _decompose(amplitudes: np.ndarray, spectra: list[SectorSpectrum],
+               window: EvolutionWindow):
+    """(weights, phases, energies) of a covered, normalised state.
+
+    One entry per (block, column) pair in that order; phases are in turns,
+    fmod'ed into (-1, 1) keeping the sign of window.phase_of.
+    """
+    coefficients = covered_coefficients(amplitudes, spectra)
+    # scalar abs(c) ** 2, as eigen_weights: numpy's array abs and square round otherwise
+    weights = np.array([abs(c) ** 2 for block in coefficients for c in block.tolist()])
+    _require_normalized(weights)
+    energies = np.concatenate([b.eigenvalues for b in spectra])
+    return weights, np.fmod(window.phase_of(energies), 1.0), energies
+
+
+def _pair_index(spectra: list[SectorSpectrum], target: tuple[int, int]) -> int:
+    """Position of the (block, column) pair in _decompose's arrays; KeyError if absent."""
+    block, column = target
+    if not (0 <= block < len(spectra) and 0 <= column < spectra[block].dimension):
+        raise KeyError(f"target {target} not found in spectra")
+    return sum(b.dimension for b in spectra[:block]) + column
 
 
 def state_decomposition(
@@ -203,14 +220,9 @@ def state_decomposition(
     window: EvolutionWindow,
 ):
     """[(weight, phase, energy, (block, column))] of a covered, normalised state."""
-    weights, _ = eigen_weights(amplitudes, spectra)
-    _require_covered(amplitudes, spectra)
-    _require_normalized(list(weights.values()))
-    out = []
-    for (b, i), w in sorted(weights.items()):
-        energy = float(spectra[b].eigenvalues[i])
-        out.append((w, math.fmod(window.phase_of(energy), 1.0), energy, (b, i)))
-    return out
+    weights, phases, energies = _decompose(amplitudes, spectra, window)
+    pairs = [(b, i) for b, block in enumerate(spectra) for i in range(block.dimension)]
+    return list(zip(weights.tolist(), phases.tolist(), energies.tolist(), pairs))
 
 
 # -- variant A ------------------------------------------------------------
@@ -227,11 +239,11 @@ def _dominant_pair(system: np.ndarray, spectra) -> tuple[float, tuple[int, int]]
     """(|<u|psi>|^2, (block, column)) of the eigenpair the state overlaps most;
     ties go to the first pair in (block, column) order."""
     best, pair = 0.0, None
-    for b, block in enumerate(spectra):
-        coeffs = np.abs(block.eigenvectors.conj().T @ system[block.determinants]) ** 2
-        if coeffs.size and (pair is None or coeffs.max() > best):
-            i = int(np.argmax(coeffs))
-            best, pair = float(coeffs[i]), (b, i)
+    for b, coeffs in enumerate(eigen_coefficients(system, spectra)[0]):
+        weights = np.abs(coeffs) ** 2
+        if weights.size and (pair is None or weights.max() > best):
+            i = int(np.argmax(weights))
+            best, pair = float(weights[i]), (b, i)
     return best, pair
 
 
@@ -255,7 +267,7 @@ def ipea_a_run(
     system = _as_statevector(guess)
     n_sys = system.n_qubits
     readout = n_sys  # readout rides on top of the system bits
-    _require_covered(system.amplitudes, spectra)
+    initial = covered_coefficients(system.amplitudes, spectra)
 
     joint = new_register(n_sys + 1)
     joint.amplitudes[: 1 << n_sys] = system.amplitudes
@@ -279,11 +291,9 @@ def ipea_a_run(
     energy = decode_energy(bits, cfg.window)
 
     _, (block, col) = _dominant_pair(final.amplitudes, spectra)
-    spectrum = spectra[block]
-    w0 = abs(np.vdot(spectrum.eigenvectors[:, col],
-                     system.amplitudes[spectrum.determinants])) ** 2
+    w0 = abs(initial[block][col]) ** 2
     _, down, up = rounding_masses(
-        cfg.window.phase_of(float(spectrum.eigenvalues[col])), cfg.m
+        cfg.window.phase_of(float(spectra[block].eigenvalues[col])), cfg.m
     )
     record = OutcomeRecord(
         bits=bits,
@@ -313,12 +323,10 @@ def ipea_a_success_probability(
     Both carry the target's squared overlap with the guess, which must be
     normalised (WeightNormalization), as a factor.
     """
-    decomp = state_decomposition(_as_statevector(guess).amplitudes, spectra, cfg.window)
-    for w, phase, _, ref in decomp:
-        if ref == target:
-            _, down, up = rounding_masses(phase, cfg.m)
-            return w * down, w * up
-    raise KeyError(f"target {target} not found in spectra")
+    weights, phases, _ = _decompose(_as_statevector(guess).amplitudes, spectra, cfg.window)
+    t = _pair_index(spectra, target)
+    _, down, up = rounding_masses(float(phases[t]), cfg.m)
+    return float(weights[t]) * down, float(weights[t]) * up
 
 
 # -- variant B ------------------------------------------------------------
@@ -394,8 +402,7 @@ def ipea_b_run(
     """
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
-    decomp = state_decomposition(_as_statevector(guess).amplitudes, spectra, cfg.window)
-    weights, phases = np.array([row[:2] for row in decomp], dtype=float).T
+    weights, phases, _ = _decompose(_as_statevector(guess).amplitudes, spectra, cfg.window)
     v, ones = _vote_runs(weights, phases, cfg, 1, rng)
     bits = PhaseBits.from_outcome(int(v[0]), cfg.m)
     energy = decode_energy(bits, cfg.window)
@@ -462,12 +469,8 @@ def ipea_b_success_probability(
     Success means voting the target phase rounded down or up (modular):
     the two outcomes' path masses (_path_masses), summed and clipped at 1.
     """
-    decomp = state_decomposition(_as_statevector(guess).amplitudes, spectra, cfg.window)
-    target_row = next((row for row in decomp if row[3] == target), None)
-    if target_row is None:
-        raise KeyError(f"target {target} not found in spectra")
-    weights, phases = np.array([row[:2] for row in decomp], dtype=float).T
-    b_down, _, _ = rounding_masses(target_row[1], cfg.m)
+    weights, phases, _ = _decompose(_as_statevector(guess).amplitudes, spectra, cfg.window)
+    b_down, _, _ = rounding_masses(float(phases[_pair_index(spectra, target)]), cfg.m)
     outcomes = np.array([b_down, (b_down + 1) % (1 << cfg.m)], dtype=np.int64)
     mass = _path_masses(weights, phases, cfg.m, cfg.repetitions_per_bit, outcomes)
     prob = min(float(mass[0] + mass[1]), 1.0)

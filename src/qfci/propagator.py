@@ -12,16 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingSector
 from .hamiltonian import (
     FermionTerm,
     SectorSpectrum,
     _jordan_wigner,
-    _require_disjoint,
+    covered_coefficients,
 )
 from .statevector import StateVector
 
-UNCOVERED_TOL = 1e-12
 # Largest dense Trotter slice matrix, 4^n complex entries, that trotter_u
 # builds; larger registers apply the slice to the state itself
 SLICE_MATRIX_BYTES = 16 << 20
@@ -72,26 +70,17 @@ def recommend_slices(window: EvolutionWindow, epsilon: float) -> int:
     return max(1, math.ceil(window.tau**2 / epsilon))
 
 
-def _insert_control_bit(dets: np.ndarray, control: int) -> np.ndarray:
-    """Joint-register indices of system determinants with control bit set.
+def _propagate(amps: np.ndarray, spectra: list[SectorSpectrum],
+               window: EvolutionWindow, power: int) -> None:
+    """U**power on a flat system amplitude array, in place.
 
-    System qubit j maps to joint qubit j for j < control and to j+1
-    otherwise.
+    Coverage is checked before any amplitude is written.
     """
-    low = dets & ((1 << control) - 1)
-    high = dets >> control
-    return low | (high << (control + 1)) | (1 << control)
-
-
-def _phase_multiply(amps: np.ndarray, indices: np.ndarray, block: SectorSpectrum,
-                    window: EvolutionWindow, power: int) -> float:
-    sub = amps[indices]
-    weight = float(np.sum(np.abs(sub) ** 2))
-    coeffs = block.eigenvectors.conj().T @ sub
-    turns = np.mod(power * window.phase_of(block.eigenvalues), 1.0)
-    coeffs *= np.exp(2j * np.pi * turns)
-    amps[indices] = block.eigenvectors @ coeffs
-    return weight
+    coefficients = covered_coefficients(amps, spectra)
+    for block, coeffs in zip(spectra, coefficients):
+        turns = np.mod(power * window.phase_of(block.eigenvalues), 1.0)
+        coeffs *= np.exp(2j * np.pi * turns)
+        amps[block.determinants] = block.eigenvectors @ coeffs
 
 
 def u_power_exact(
@@ -103,20 +92,11 @@ def u_power_exact(
     """U**power via eigenphase multiplication, in place.
 
     The spectra must cover (up to UNCOVERED_TOL of probability) every
-    determinant the state populates, else MissingSector; blocks that
-    share a determinant raise DimensionMismatch.
+    determinant the state populates, else MissingSector and the state is
+    unchanged; blocks that share a determinant, or determinants past the
+    register, raise DimensionMismatch.
     """
-    _require_disjoint(spectra)
-    amps = state.amplitudes
-    total = float(np.sum(np.abs(amps) ** 2))
-    covered = 0.0
-    for block in spectra:
-        covered += _phase_multiply(amps, np.asarray(block.determinants), block,
-                                   window, power)
-    if total - covered > UNCOVERED_TOL:
-        raise MissingSector(
-            f"{total - covered:.3e} of squared norm outside supplied spectra"
-        )
+    _propagate(state.amplitudes, spectra, window, power)
     return state
 
 
@@ -127,24 +107,16 @@ def controlled_u_power_exact(
     power: int,
     control: int,
 ) -> StateVector:
-    """Controlled-U**power on a joint readout+system register, in place."""
-    _require_disjoint(spectra)
-    amps = state.amplitudes
+    """Controlled-U**power on a joint readout+system register, in place.
+
+    U**power acts, as in u_power_exact, on the control-1 branch, whose
+    system qubit j is joint qubit j below the control and j+1 above it.
+    """
     n = state.n_qubits
-    view = amps.reshape(1 << (n - control - 1), 2, 1 << control)
-    branch_total = float(np.sum(np.abs(view[:, 1, :]) ** 2))
-    covered = 0.0
-    for block in spectra:
-        joint = _insert_control_bit(np.asarray(block.determinants), control)
-        if int(joint.max(initial=0)) >= amps.size:
-            raise MissingSector(
-                f"spectrum determinants exceed joint register of {n} qubits"
-            )
-        covered += _phase_multiply(amps, joint, block, window, power)
-    if branch_total - covered > UNCOVERED_TOL:
-        raise MissingSector(
-            f"{branch_total - covered:.3e} of control-branch norm outside spectra"
-        )
+    view = state.amplitudes.reshape(1 << (n - control - 1), 2, 1 << control)[:, 1, :]
+    branch = view.reshape(-1)  # a view when the control is the lowest or top qubit
+    _propagate(branch, spectra, window, power)
+    view[...] = branch.reshape(view.shape)
     return state
 
 

@@ -535,6 +535,9 @@ class TestSpectraHelpers:
         psi[0b0101] = 1.0 / np.sqrt(2)  # sector (1,1)
         specs = spectra_for_state(h2_terms, 4, psi)
         assert {s.sector for s in specs} == {(1, 0), (1, 1)}
+        psi[0b1000] = 1e-16  # sector (0,1): every nonzero amplitude counts, as in a scan
+        specs = spectra_for_state(h2_terms, 4, psi)
+        assert [s.sector for s in specs] == [(0, 1), (1, 0), (1, 1)]
 
     def test_eigen_weights_sum(self, h2_terms, h2_hf_state, h2_spectrum_11):
         weights, covered = eigen_weights(h2_hf_state.amplitudes, [h2_spectrum_11])

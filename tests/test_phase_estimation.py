@@ -4,9 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qfci.phase_estimation as phase_estimation
-from qfci.errors import CapExceeded, IndexOutOfRange, MissingSector, WeightNormalization
+from qfci.errors import (
+    CapExceeded,
+    DimensionMismatch,
+    IndexOutOfRange,
+    MissingSector,
+    WeightNormalization,
+)
 from qfci.guess import hf_determinant, random_sector_state
-from qfci.hamiltonian import FermionTerm, exact_eigensolve
+from qfci.hamiltonian import FermionTerm, eigen_weights, exact_eigensolve
 from qfci.phase_estimation import (
     IpeaConfig,
     PhaseBits,
@@ -24,7 +30,7 @@ from qfci.phase_estimation import (
     sample_b_outcomes,
     state_decomposition,
 )
-from qfci.propagator import EvolutionWindow
+from qfci.propagator import EvolutionWindow, u_power_exact
 from qfci.statevector import (
     HADAMARD,
     StateVector,
@@ -491,6 +497,30 @@ class TestIpeaVariantB:
         with pytest.raises(WeightNormalization):
             success_probability(2.0 * h2_hf_state.amplitudes, [h2_spectrum_11], cfg,
                                 (0, 0))
+
+
+SMALL_REGISTER_CALLS = {
+    "u_power_exact": lambda amps, spectra, cfg: u_power_exact(
+        StateVector(2, amps), spectra, cfg.window),
+    "eigen_weights": lambda amps, spectra, cfg: eigen_weights(amps, spectra),
+    "state_decomposition": lambda amps, spectra, cfg: state_decomposition(
+        amps, spectra, cfg.window),
+    "ipea_a_success_probability": lambda amps, spectra, cfg: ipea_a_success_probability(
+        amps, spectra, cfg, (0, 0)),
+    "ipea_b_success_probability": lambda amps, spectra, cfg: ipea_b_success_probability(
+        amps, spectra, cfg, (0, 0)),
+    "ipea_a_run": lambda amps, spectra, cfg: ipea_a_run(amps, spectra, cfg),
+    "ipea_b_run": lambda amps, spectra, cfg: ipea_b_run(amps, spectra, cfg),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SMALL_REGISTER_CALLS))
+def test_register_smaller_than_spectra_rejected(entry, h2_spectrum_11, window):
+    # the (1,1) determinants index up to 0b1010 in a 4-amplitude register
+    cfg = IpeaConfig(window=window, m=4, variant="B", repetitions_per_bit=3, rng_seed=0)
+    amps = np.array([1, 0, 0, 0], complex)
+    with pytest.raises(DimensionMismatch, match="exceed"):
+        SMALL_REGISTER_CALLS[entry](amps, [h2_spectrum_11], cfg)
 
 
 class TestDecodeEnergy:

@@ -108,6 +108,25 @@ class TestExactPropagator:
         with pytest.raises(DimensionMismatch):
             u_power_exact(sv, [h2_spectrum_11, h2_spectrum_11], window)
 
+    @pytest.mark.parametrize("controlled", [False, True])
+    def test_missing_sector_leaves_register_unchanged(self, controlled,
+                                                      h2_spectrum_11, window):
+        system = np.zeros(16, complex)
+        system[0b0101] = 0.6  # sector (1,1), covered
+        system[0b0001] = 0.8  # sector (1,0), not covered
+        if controlled:
+            sv = new_register(5)
+            sv.amplitudes[16:] = system  # control-1 branch of control qubit 4
+        else:
+            sv = StateVector(4, system.copy())
+        before = sv.amplitudes.copy()
+        with pytest.raises(MissingSector):
+            if controlled:
+                controlled_u_power_exact(sv, [h2_spectrum_11], window, 3, control=4)
+            else:
+                u_power_exact(sv, [h2_spectrum_11], window, power=3)
+        assert np.array_equal(sv.amplitudes, before)
+
 
 class TestControlledPropagator:
     def make_joint(self, system: np.ndarray) -> StateVector:
@@ -123,6 +142,17 @@ class TestControlledPropagator:
         before = joint.amplitudes[:16].copy()
         controlled_u_power_exact(joint, h2_full_spectra, window, 8, control=4)
         assert np.array_equal(joint.amplitudes[:16], before)
+
+    @pytest.mark.parametrize("control", [0, 2, 4])
+    def test_branch_is_u_power_bitwise(self, control, h2_full_spectra, window):
+        joint = StateVector(5, random_state(5, 30 + control))
+        before = joint.amplitudes.reshape(1 << (4 - control), 2, 1 << control).copy()
+        expect = StateVector(4, before[:, 1, :].reshape(-1).copy())
+        u_power_exact(expect, h2_full_spectra, window, power=5)
+        controlled_u_power_exact(joint, h2_full_spectra, window, 5, control=control)
+        after = joint.amplitudes.reshape(before.shape)
+        assert np.array_equal(after[:, 1, :].reshape(-1), expect.amplitudes)
+        assert np.array_equal(after[:, 0, :], before[:, 0, :])
 
     def test_overlapping_blocks_rejected(self, h2_hf_state, h2_spectrum_11, window):
         joint = self.make_joint(h2_hf_state.amplitudes)
