@@ -58,6 +58,9 @@ SEARCH_CAVEAT = (
     "energies outside [E_min, E_max] alias back into the window and can "
     "masquerade as low results"
 )
+# `qfci run` options that override fields of the config file
+OVERRIDE_KEYS = ("seed", "variant", "bits", "e_max", "e_min", "repetition_counts",
+                 "csv", "json")
 # eigen-weight above which an eigenvalue counts as populated by the guess
 POPULATED_TOL = 1e-12
 
@@ -289,22 +292,9 @@ def _evaluate_point(
         overlap_sq = float(weights[_pair_index(spectra, target)])
 
         p_down, p_up = ipea_a_success_probability(sv, spectra, cfg, target)
-        b_success = {
-            r: float(
-                ipea_b_success_probability(
-                    sv,
-                    spectra,
-                    IpeaConfig(
-                        window=cfg.window,
-                        m=cfg.m,
-                        variant="B",
-                        repetitions_per_bit=r,
-                    ),
-                    target,
-                )
-            )
-            for r in reps_list
-        }
+        b_success = ipea_b_success_probability(
+            sv, spectra, cfg, target, repetition_counts=reps_list
+        )
 
         if cfg.variant == "A":
             record, _ = ipea_a_run(sv, spectra, cfg, rng)
@@ -324,7 +314,7 @@ def _evaluate_point(
             "p_down": p_down,
             "p_up": p_up,
             "p_tot": p_down + p_up,
-            "b_success": {str(r): b_success[r] for r in reps_list},
+            "b_success": {str(r): p for r, p in zip(reps_list, b_success)},
             "sampled_energy": record.energy,
             "sampled_outcome": record.bits.outcome,
         }
@@ -504,9 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, help="override master seed")
     run_p.add_argument("--variant", choices=["A", "B"])
     run_p.add_argument("--bits", type=int, help="phase bits m")
-    run_p.add_argument("--emax", type=float)
-    run_p.add_argument("--emin", type=float)
-    run_p.add_argument("--reps", type=_int_list,
+    run_p.add_argument("--emax", dest="e_max", metavar="EMAX", type=float)
+    run_p.add_argument("--emin", dest="e_min", metavar="EMIN", type=float)
+    run_p.add_argument("--reps", dest="repetition_counts", metavar="REPS", type=_int_list,
                        help="comma-separated odd repetition counts")
     run_p.add_argument("--search-runs", type=int, default=0,
                        help="variant-A lowest-energy search over N runs")
@@ -526,23 +516,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            overrides = {}
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-            if args.variant is not None:
-                overrides["variant"] = args.variant
-            if args.bits is not None:
-                overrides["bits"] = args.bits
-            if args.emax is not None:
-                overrides["e_max"] = args.emax
-            if args.emin is not None:
-                overrides["e_min"] = args.emin
-            if args.reps is not None:
-                overrides["repetition_counts"] = args.reps
-            if args.csv is not None:
-                overrides["csv"] = args.csv
-            if args.json is not None:
-                overrides["json"] = args.json
+            overrides = {key: getattr(args, key) for key in OVERRIDE_KEYS
+                         if getattr(args, key) is not None}
             cfg = load_scan_config(args.config, overrides)
             report = run_scan(cfg, search_runs=args.search_runs)
             n_err = sum(1 for p in report["points"] if p["status"] == "error")

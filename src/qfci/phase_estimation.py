@@ -20,7 +20,7 @@ from .hamiltonian import (
     SECTOR_BYTE_BUDGET,
     SectorSpectrum,
     covered_coefficients,
-    eigen_coefficients,
+    eigen_weights,
 )
 from .propagator import EvolutionWindow, controlled_u_power_exact
 from .statevector import (
@@ -54,8 +54,13 @@ class IpeaConfig:
             raise ValueError(f"bits must be in 1..{MAX_BITS}, got {self.m}")
         if self.variant not in ("A", "B"):
             raise ValueError(f"variant must be 'A' or 'B', got {self.variant!r}")
-        if self.repetitions_per_bit < 1 or self.repetitions_per_bit % 2 == 0:
-            raise ValueError("repetitions_per_bit must be odd and positive")
+        _require_odd_reps((self.repetitions_per_bit,))
+
+
+def _require_odd_reps(counts) -> None:
+    """ValueError unless every repetition count is odd and positive."""
+    if any(r < 1 or r % 2 == 0 for r in counts):
+        raise ValueError("repetitions_per_bit must be odd and positive")
 
 
 @dataclass(frozen=True)
@@ -166,11 +171,15 @@ def pea_distribution(weights: list[tuple[float, float]], m: int) -> np.ndarray:
     return dist
 
 
+def _round_down(phase: float, m: int) -> int:
+    """The m-bit outcome a phase in turns rounds down to, modular at 1."""
+    return int(math.floor(math.fmod(phase, 1.0) * (1 << m))) % (1 << m)
+
+
 def rounding_masses(phase: float, m: int) -> tuple[int, float, float]:
     """(outcome rounded down, kernel mass there, kernel mass one up)."""
-    size = 1 << m
-    u = math.fmod(phase, 1.0) * size
-    b = int(math.floor(u)) % size
+    u = math.fmod(phase, 1.0) * (1 << m)
+    b = _round_down(phase, m)
     down = float(_kernel_grid(u - b, m))
     up = float(_kernel_grid(u - (b + 1), m))
     return b, down, up
@@ -238,13 +247,9 @@ def _reset_readout(joint: StateVector, last_bit: int) -> None:
 def _dominant_pair(system: np.ndarray, spectra) -> tuple[float, tuple[int, int]]:
     """(|<u|psi>|^2, (block, column)) of the eigenpair the state overlaps most;
     ties go to the first pair in (block, column) order."""
-    best, pair = 0.0, None
-    for b, coeffs in enumerate(eigen_coefficients(system, spectra)[0]):
-        weights = np.abs(coeffs) ** 2
-        if weights.size and (pair is None or weights.max() > best):
-            i = int(np.argmax(weights))
-            best, pair = float(weights[i]), (b, i)
-    return best, pair
+    weights, _ = eigen_weights(system, spectra)
+    pair = max(weights, key=weights.get)  # the first of equal maxima
+    return weights[pair], pair
 
 
 def ipea_a_run(
@@ -435,26 +440,35 @@ def sample_b_outcomes(
 class BSuccessDetail:
     """ipea_b_success_probability's detail: the two target paths are exact,
     so pruned_mass is 0.0 and n_histories (paths evaluated) is 2."""
-    probability: float
+    probability: float | tuple[float, ...]
     pruned_mass: float
     n_histories: int
+
+
+def _level_probabilities(weights: np.ndarray, phases: np.ndarray, m: int,
+                         outcomes: np.ndarray) -> np.ndarray:
+    """(m, len(outcomes)) probabilities of reading 1 along each outcome's path:
+    row i is level k = m - i, after the prefix outcome & (2^i - 1) was voted."""
+    i = np.arange(m)[:, None]
+    angle = (outcomes & ((1 << i) - 1)) * (-2.0 * np.pi * 2.0 ** (-i - 1.0))
+    return np.array([_one_probability(weights, phases, m - j, angle[j]) for j in range(m)])
+
+
+def _path_product(one: np.ndarray, reps: int, outcomes: np.ndarray) -> np.ndarray:
+    """Each outcome's path mass at reps repetitions from _level_probabilities'
+    array.  A tail rounded a few ulp past 1 leaves its complement at 0."""
+    q1 = _majority_tail(reps, one)
+    factor = np.where((outcomes >> np.arange(one.shape[0])[:, None]) & 1, q1, 1.0 - q1)
+    return np.multiply.reduce(np.maximum(factor, 0.0), axis=0)
 
 
 def _path_masses(weights: np.ndarray, phases: np.ndarray, m: int, reps: int,
                  outcomes: np.ndarray) -> np.ndarray:
     """Probability of voting each outcome at m bits and reps repetitions.
 
-    Each level votes a new bit, so an outcome b has one history: its mass
-    is the product, in level order, of the majority probability of bit m-k
-    of b given the prefix b & (2^(m-k) - 1) voted before level k.  A tail
-    rounded a few ulp past 1 leaves its complement at 0.
-    """
-    i = np.arange(m)[:, None]  # level k = m - i votes bit i
-    angle = (outcomes & ((1 << i) - 1)) * (-2.0 * np.pi * 2.0 ** (-i - 1.0))
-    one = [_one_probability(weights, phases, m - j, angle[j]) for j in range(m)]
-    q1 = _majority_tail(reps, np.array(one))
-    factor = np.where((outcomes >> i) & 1, q1, 1.0 - q1)
-    return np.multiply.reduce(np.maximum(factor, 0.0), axis=0)
+    Each level votes a new bit, so an outcome has one history: its mass is
+    the product, in level order, of the majority probability of its bit."""
+    return _path_product(_level_probabilities(weights, phases, m, outcomes), reps, outcomes)
 
 
 def ipea_b_success_probability(
@@ -463,20 +477,31 @@ def ipea_b_success_probability(
     cfg: IpeaConfig,
     target: tuple[int, int],
     return_detail: bool = False,
+    repetition_counts=None,
 ):
     """Exact variant-B success probability of a normalised guess.
 
     Success means voting the target phase rounded down or up (modular):
     the two outcomes' path masses (_path_masses), summed and clipped at 1.
+    Given odd repetition_counts, returns one probability per count, in
+    order, from one decomposition and one set of level probabilities;
+    omitted, the float for cfg.repetitions_per_bit.
     """
+    single = repetition_counts is None
+    counts = (cfg.repetitions_per_bit,) if single else tuple(repetition_counts)
+    if not counts:
+        raise ValueError("repetition_counts must not be empty")
+    _require_odd_reps(counts)
     weights, phases, _ = _decompose(_as_statevector(guess).amplitudes, spectra, cfg.window)
-    b_down, _, _ = rounding_masses(float(phases[_pair_index(spectra, target)]), cfg.m)
+    b_down = _round_down(float(phases[_pair_index(spectra, target)]), cfg.m)
     outcomes = np.array([b_down, (b_down + 1) % (1 << cfg.m)], dtype=np.int64)
-    mass = _path_masses(weights, phases, cfg.m, cfg.repetitions_per_bit, outcomes)
-    prob = min(float(mass[0] + mass[1]), 1.0)
+    one = _level_probabilities(weights, phases, cfg.m, outcomes)
+    probs = tuple(min(float(mass[0] + mass[1]), 1.0)
+                  for mass in (_path_product(one, r, outcomes) for r in counts))
+    result = probs[0] if single else probs
     if return_detail:
-        return prob, BSuccessDetail(prob, 0.0, 2)
-    return prob
+        return result, BSuccessDetail(result, 0.0, 2)
+    return result
 
 
 def decode_energy(bits: PhaseBits, window: EvolutionWindow) -> float:

@@ -5,7 +5,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import qfci.cli as cli
 from qfci.cli import SEARCH_CAVEAT, load_scan_config, main
+from qfci.phase_estimation import IpeaConfig
 from qfci.resources import fci_dimension
 
 from tests.conftest import FIXTURES, H2_SECTOR_11_EIGENVALUES
@@ -244,6 +246,38 @@ class TestRunCommand:
         assert warning.startswith("rand: populated eigenvalue")
         assert f"{top:.10g}" in warning
         assert f"{top + 0.5:.3g}" in warning
+
+    def test_repetition_counts_share_one_b_call(self, tmp_path, monkeypatch):
+        calls = []
+        original = cli.ipea_b_success_probability
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ipea_b_success_probability", counting)
+        fcidump = str(FIXTURES / "h2_sto3g_r1.4011.fcidump")
+        points = [
+            {"label": label, "fcidump": fcidump, "guess": {"kind": kind},
+             "sector": [1, 1], "target": target}
+            for label, kind, target in (("hf", "hf", 0), ("rand", "random", 1),
+                                        ("bad", "hf", 9))
+        ]
+        cfg_path = write_config(tmp_path, repetition_counts=[101, 11], points=points)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+
+        rows = read_rows(tmp_path / "scan.csv")
+        assert [c for c in rows[0] if c.startswith("b_success_r")] == [
+            "b_success_r101", "b_success_r11"]
+        ok = [row for row in rows if not row["error"]]
+        assert [row["label"] for row in ok] == ["hf", "rand"]
+        assert len(calls) == len(ok)
+        for row, (sv, spectra, cfg, target) in zip(ok, calls):
+            for r in (101, 11):
+                per_count = IpeaConfig(window=cfg.window, m=cfg.m, variant="B",
+                                       repetitions_per_bit=r)
+                assert float(row[f"b_success_r{r}"]) == original(
+                    sv, spectra, per_count, target)
 
     def test_even_repetition_count_rejected(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, repetition_counts=[2])

@@ -277,6 +277,29 @@ class TestIpeaVariantA:
         assert trace[-1] >= 1 - 1e-9
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
 
+    def test_overlap_trace_entries_are_eigen_weights(self, monkeypatch, h2_spectrum_11,
+                                                     window):
+        # each entry is the largest eigen_weights value of the branch the
+        # register collapsed to, bit for bit: squaring numpy's array abs
+        # differs in the last bit for about a third of the coefficients
+        branches = []
+        system_branch = phase_estimation._system_branch
+
+        def recording(joint, bit):
+            branch = system_branch(joint, bit)
+            branches.append(branch.copy())
+            return branch
+
+        monkeypatch.setattr(phase_estimation, "_system_branch", recording)
+        guess = random_sector_state(2, (1, 1), np.random.default_rng(5)).to_statevector()
+        cfg = IpeaConfig(window=window, m=12)
+        rec, _ = ipea_a_run(guess, [h2_spectrum_11], cfg, np.random.default_rng(5),
+                            track_overlaps=True)
+        assert rec.overlap_trace == tuple(
+            max(eigen_weights(branch, [h2_spectrum_11])[0].values())
+            for branch in branches[:cfg.m]
+        )
+
     def test_missing_sector_guess_rejected(self, h2_spectrum_11, window):
         sv = StateVector(4, np.zeros(16, complex))
         sv.amplitudes[0b0001] = 1.0
@@ -473,6 +496,73 @@ class TestIpeaVariantB:
         w, ph = np.array(weights).T
         masses = phase_estimation._path_masses(w, ph, m, reps, np.arange(1 << m))
         assert abs(masses.sum() - 1.0) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(guess_seed=st.integers(0, 2**32 - 1), target=st.integers(0, 1),
+           m=st.integers(1, 12),
+           counts=st.lists(st.integers(0, 50).map(lambda h: 2 * h + 1),
+                           min_size=1, max_size=6))
+    def test_one_call_matches_per_count_calls(self, guess_seed, target, m, counts,
+                                              h2_spectrum_11, window):
+        sv = random_sector_state(
+            2, (1, 1), np.random.default_rng(guess_seed)).to_statevector()
+        cfg = IpeaConfig(window=window, m=m, variant="B")
+        got, detail = ipea_b_success_probability(
+            sv, [h2_spectrum_11], cfg, (0, target), return_detail=True,
+            repetition_counts=counts,
+        )
+        per_count = tuple(
+            ipea_b_success_probability(
+                sv, [h2_spectrum_11],
+                IpeaConfig(window=window, m=m, variant="B", repetitions_per_bit=r),
+                (0, target),
+            )
+            for r in counts
+        )
+        assert got == per_count
+        assert detail == phase_estimation.BSuccessDetail(got, 0.0, 2)
+
+    def test_one_call_matches_sampler_at_two_counts(self, h2_spectrum_11, window):
+        # a random guess whose success rises from 0.25 at 5 repetitions to
+        # 0.73 at 31
+        sv = random_sector_state(2, (1, 1), np.random.default_rng(4)).to_statevector()
+        m, counts, runs = 8, (5, 31), 20_000
+        probs = ipea_b_success_probability(
+            sv, [h2_spectrum_11], IpeaConfig(window=window, m=m, variant="B"), (0, 0),
+            repetition_counts=counts,
+        )
+        decomp = state_decomposition(sv.amplitudes, [h2_spectrum_11], window)
+        b, _, _ = rounding_masses(decomp[0][1], m)
+        rng = np.random.default_rng(8)
+        for reps, p in zip(counts, probs):
+            cfg = IpeaConfig(window=window, m=m, variant="B", repetitions_per_bit=reps)
+            v = sample_b_outcomes([(w, ph) for w, ph, _, _ in decomp], cfg, runs, rng)
+            freq = float(np.isin(v, [b, (b + 1) % (1 << m)]).mean())
+            assert abs(freq - p) < 5 * np.sqrt(p * (1 - p) / runs)
+
+    @pytest.mark.parametrize("counts", [(3, 4), (0,), (11, -1)])
+    def test_repetition_counts_must_be_odd_and_positive(self, counts, monkeypatch,
+                                                        h2_hf_state, h2_spectrum_11,
+                                                        window):
+        def no_work(*args):
+            raise AssertionError("decomposed before the counts were checked")
+
+        monkeypatch.setattr(phase_estimation, "_decompose", no_work)
+        cfg = IpeaConfig(window=window, m=4, variant="B")
+        with pytest.raises(ValueError, match="repetitions_per_bit must be odd and positive"):
+            ipea_b_success_probability(h2_hf_state, [h2_spectrum_11], cfg, (0, 0),
+                                       repetition_counts=counts)
+
+    def test_empty_repetition_counts_rejected(self, monkeypatch, h2_hf_state,
+                                              h2_spectrum_11, window):
+        def no_work(*args):
+            raise AssertionError("decomposed before the counts were checked")
+
+        monkeypatch.setattr(phase_estimation, "_decompose", no_work)
+        cfg = IpeaConfig(window=window, m=4, variant="B")
+        with pytest.raises(ValueError, match="must not be empty"):
+            ipea_b_success_probability(h2_hf_state, [h2_spectrum_11], cfg, (0, 0),
+                                       repetition_counts=[])
 
     def test_raw_amplitudes_must_be_power_of_two(self, h2_spectrum_11, window):
         cfg = IpeaConfig(window=window, m=4, variant="B", repetitions_per_bit=3)
