@@ -540,29 +540,22 @@ class TestIpeaVariantB:
             freq = float(np.isin(v, [b, (b + 1) % (1 << m)]).mean())
             assert abs(freq - p) < 5 * np.sqrt(p * (1 - p) / runs)
 
-    @pytest.mark.parametrize("counts", [(3, 4), (0,), (11, -1)])
-    def test_repetition_counts_must_be_odd_and_positive(self, counts, monkeypatch,
-                                                        h2_hf_state, h2_spectrum_11,
-                                                        window):
+    @pytest.mark.parametrize("counts, message", [
+        ((3, 4), "repetitions_per_bit must be odd and positive"),
+        ((0,), "repetitions_per_bit must be odd and positive"),
+        ((11, -1), "repetitions_per_bit must be odd and positive"),
+        ((), "repetition_counts must not be empty"),
+    ])
+    def test_repetition_counts_checked_first(self, counts, message, monkeypatch,
+                                             h2_hf_state, h2_spectrum_11, window):
         def no_work(*args):
             raise AssertionError("decomposed before the counts were checked")
 
         monkeypatch.setattr(phase_estimation, "_decompose", no_work)
         cfg = IpeaConfig(window=window, m=4, variant="B")
-        with pytest.raises(ValueError, match="repetitions_per_bit must be odd and positive"):
+        with pytest.raises(ValueError, match=message):
             ipea_b_success_probability(h2_hf_state, [h2_spectrum_11], cfg, (0, 0),
                                        repetition_counts=counts)
-
-    def test_empty_repetition_counts_rejected(self, monkeypatch, h2_hf_state,
-                                              h2_spectrum_11, window):
-        def no_work(*args):
-            raise AssertionError("decomposed before the counts were checked")
-
-        monkeypatch.setattr(phase_estimation, "_decompose", no_work)
-        cfg = IpeaConfig(window=window, m=4, variant="B")
-        with pytest.raises(ValueError, match="must not be empty"):
-            ipea_b_success_probability(h2_hf_state, [h2_spectrum_11], cfg, (0, 0),
-                                       repetition_counts=[])
 
     def test_raw_amplitudes_must_be_power_of_two(self, h2_spectrum_11, window):
         cfg = IpeaConfig(window=window, m=4, variant="B", repetitions_per_bit=3)
