@@ -118,9 +118,11 @@ def load_scan_config(path: str | Path, overrides: dict | None = None) -> ScanCon
     )
     if not reps_list:
         raise QfciError("repetition_counts must not be empty")
-    for r in reps_list:
+    for i, r in enumerate(reps_list):
         if r < 1 or r % 2 == 0:
             raise QfciError(f"repetition counts must be odd, got {r}")
+        if r in reps_list[:i]:
+            raise QfciError(f"repetition count {r} is repeated")
     repeats = ipea_raw.get("whole_run_repeats", 1)
     if repeats != 1:
         raise QfciError(

@@ -50,9 +50,6 @@ class FermionTerm:
     coefficient: float
     ops: tuple[tuple[int, bool], ...]
 
-    def adjoint_ops(self) -> tuple[tuple[int, bool], ...]:
-        return tuple((m, not c) for m, c in reversed(self.ops))
-
 
 @dataclass(frozen=True)
 class PauliString:
@@ -227,7 +224,7 @@ def build_second_quantized(soi: SpinOrbitalIntegrals) -> FermionTerms:
 
 
 def _term_components(modes: np.ndarray, creation: np.ndarray, coef: np.ndarray):
-    """Pauli sums of a block of k-op terms as (term, x, z, value), term by term.
+    """Pauli sums of a block of k-op terms as (x, z, value), term by term.
 
     Op o maps to (1/2) X^bit Z^chain (1 +- Z^bit), + for a creator, so
     picking the Z^bit factor on a subset c of the ops gives the string
@@ -263,36 +260,31 @@ def _term_components(modes: np.ndarray, creation: np.ndarray, coef: np.ndarray):
     count = (1 - 2 * ((p0[:, None] + w @ picks.T) & 1)) << (
         k - np.count_nonzero(~repeat, axis=1)[:, None])
     value = count * (coef * 0.5**k)[:, None]
-    term = np.flatnonzero(keep) >> k
-    return term, np.bitwise_xor.reduce(bits, axis=1)[term], z.ravel()[keep], value.ravel()[keep]
+    x = np.bitwise_xor.reduce(bits, axis=1)[np.flatnonzero(keep) >> k]
+    return x, z.ravel()[keep], value.ravel()[keep]
 
 
-def _keys(fields: Sequence[np.ndarray], widths: Sequence[int]) -> np.ndarray:
-    """Sort keys that order rows of the fields lexicographically.
+def _keys(x: np.ndarray, z: np.ndarray, n_modes: int) -> np.ndarray:
+    """Sort keys that order strings by (x, z).
 
-    Field i holds non-negative int64 values below 2**widths[i].  Fields
-    whose widths sum to at most 63 bits pack into one int64; wider ones
-    become their big-endian bytes as a void key, which numpy orders by
-    memcmp, i.e. lexicographically.
+    Up to 31 modes both masks pack into one int64; wider masks become
+    their big-endian bytes as a void key, which numpy orders by memcmp,
+    i.e. lexicographically.
     """
-    if sum(widths) <= 63:
-        key = fields[0]
-        for field, width in zip(fields[1:], widths[1:]):
-            key = (key << width) | field
-        return key
-    packed = np.empty((fields[0].size, len(fields)), dtype=">i8")
-    for i, field in enumerate(fields):
-        packed[:, i] = field
-    return packed.view(f"V{packed.itemsize * len(fields)}").ravel()
+    if 2 * n_modes <= 63:
+        return (x << n_modes) | z
+    packed = np.empty((x.size, 2), dtype=">i8")
+    packed[:, 0] = x
+    packed[:, 1] = z
+    return packed.view("V16").ravel()
 
 
-def _unkey(keys: np.ndarray, widths: Sequence[int]) -> list[np.ndarray]:
-    """The fields of keys made by _keys."""
+def _unkey(keys: np.ndarray, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, z) masks of keys made by _keys."""
     if keys.dtype == np.int64:
-        shifts = np.cumsum(widths[::-1])[::-1] - widths
-        return [(keys >> int(s)) & ((1 << w) - 1) for s, w in zip(shifts, widths)]
-    packed = keys.view(">i8").reshape(keys.size, len(widths))
-    return list(packed.T.astype(np.int64, order="C"))
+        return keys >> n_modes, keys & ((1 << n_modes) - 1)
+    x, z = keys.view(">i8").reshape(keys.size, 2).T.astype(np.int64, order="C")
+    return x, z
 
 
 def _merge_block(keys: np.ndarray, acc: np.ndarray, bkeys: np.ndarray,
@@ -324,40 +316,21 @@ def jordan_wigner(terms: Sequence[FermionTerm], n_modes: int) -> PauliOperator:
     term-by-term dict merge would.  Strings at or below PRUNE_TOL are
     dropped and the rest ordered by (x, z).
     """
-    return _jordan_wigner(terms, n_modes, None)
-
-
-def _jordan_wigner(terms: Sequence[FermionTerm], n_modes: int,
-                   groups: np.ndarray | None) -> PauliOperator:
-    """jordan_wigner of each group of terms, concatenated in group order.
-
-    groups[i] is the group of term i (non-negative int64), or None for
-    one group.  The group is the leading field of the merge key, so each
-    group's strings and coefficients are those jordan_wigner gives for
-    its terms alone.
-    """
     if n_modes > MAX_JW_MODES:
         raise DimensionMismatch(
             f"n_modes={n_modes} exceeds the {MAX_JW_MODES}-mode mask width"
         )
-    widths = (n_modes, n_modes)
-    if groups is not None:
-        widths = (int(groups.max(initial=0)).bit_length(),) + widths
-    keys = _keys([np.zeros(0, dtype=np.int64)] * len(widths), widths)
+    empty = np.zeros(0, dtype=np.int64)
+    keys = _keys(empty, empty, n_modes)
     acc = np.zeros(0)
-    start = 0
     for modes, creation, coef in _term_runs(terms, n_modes):
         step = max(1, JW_CHUNK_ELEMENTS >> modes.shape[1])
         for lo in range(0, coef.size, step):
             block = slice(lo, lo + step)
-            term, *fields, value = _term_components(
-                modes[block], creation[block], coef[block])
-            if groups is not None:
-                fields.insert(0, groups[start + lo + term])
-            keys, acc = _merge_block(keys, acc, _keys(fields, widths), value)
-        start += coef.size
+            x, z, value = _term_components(modes[block], creation[block], coef[block])
+            keys, acc = _merge_block(keys, acc, _keys(x, z, n_modes), value)
     keep = np.abs(acc) > PRUNE_TOL
-    *_, x, z = _unkey(keys[keep], widths)
+    x, z = _unkey(keys[keep], n_modes)
     # X^x Z^z = (-i)^popcount(x & z) * labeled string
     coeffs = acc[keep] * _I_POWERS[np.bitwise_count(x & z) & 3].conj()
     return PauliOperator.from_masks(n_modes, x, z, coeffs)

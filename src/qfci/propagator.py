@@ -2,8 +2,9 @@
 
 Two independent routes: an exact one that multiplies eigencomponent
 phases from supplied sector spectra, and a first-order Trotter product
-over the second-quantized terms.  tau = 2*pi/(E_max - E_min) maps the
-window (E_min, E_max] onto one phase turn.
+over the Jordan-Wigner strings of the second-quantized terms.
+tau = 2*pi/(E_max - E_min) maps the window (E_min, E_max] onto one
+phase turn.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ import numpy as np
 from .hamiltonian import (
     FermionTerm,
     SectorSpectrum,
-    _jordan_wigner,
     covered_coefficients,
+    jordan_wigner,
 )
 from .statevector import StateVector
 
@@ -55,8 +56,9 @@ class EvolutionWindow:
 
 @dataclass(frozen=True)
 class TrotterPlan:
+    """Number of first-order slices N that trotter_u splits U into."""
+
     n_slices: int
-    term_order: tuple[int, ...] | None = None  # permutation of term indices
 
     def __post_init__(self):
         if self.n_slices < 1:
@@ -123,63 +125,6 @@ def controlled_u_power_exact(
 # -- Trotter route -------------------------------------------------------
 
 
-def _hermitian_groups(terms: list[FermionTerm],
-                      order: tuple[int, ...] | None) -> list[list[FermionTerm]]:
-    """Pair each term with its adjoint partner so every factor is unitary.
-
-    Individual one-/two-body terms need not be Hermitian; for real
-    integrals the adjoint of every emitted term is also emitted with the
-    same coefficient, so grouping the pair keeps the product exact and
-    norm-preserving.  Groups keep the order in which their first member
-    appears.
-    """
-    sequence = list(order) if order is not None else list(range(len(terms)))
-    if sorted(sequence) != list(range(len(terms))):
-        raise ValueError("term_order must be a permutation of term indices")
-    by_ops = {}
-    for i, t in enumerate(terms):
-        by_ops.setdefault(t.ops, []).append(i)
-
-    used = [False] * len(terms)
-    groups: list[list[FermionTerm]] = []
-    for i in sequence:
-        if used[i]:
-            continue
-        used[i] = True
-        term = terms[i]
-        group = [term]
-        adj = term.adjoint_ops()
-        if adj != term.ops:
-            partner = next(
-                (j for j in by_ops.get(adj, ()) if not used[j]), None
-            )
-            if partner is None:
-                raise ValueError(
-                    f"term {term.ops} lacks an adjoint partner; "
-                    "Hamiltonian is not Hermitian"
-                )
-            used[partner] = True
-            group.append(terms[partner])
-        groups.append(group)
-    return groups
-
-
-def _group_strings(groups: list[list[FermionTerm]], n_qubits: int):
-    """Pauli strings of all Hermitian groups, group by group, in one JW pass.
-
-    Returns (x, z, coefficient) arrays; each group's strings come in the
-    order and with the coefficients jordan_wigner gives for that group.
-    Coefficients are those of the labeled (Hermitian) strings and must
-    come out real; they do for any Hermitian-grouped real Hamiltonian.
-    """
-    terms = [t for group in groups for t in group]
-    ids = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
-    op = _jordan_wigner(terms, n_qubits, ids)
-    if np.any(np.abs(op.coeffs.imag) > 1e-12):
-        raise ValueError("Hermitian group mapped to a complex Pauli coefficient")
-    return op.x, op.z, op.coeffs.real
-
-
 def _apply_slice(block: np.ndarray, rotations, signs: dict) -> None:
     """One Trotter slice, prod exp(-i angle P), on each column of block.
 
@@ -209,18 +154,23 @@ def trotter_u(
 ) -> StateVector:
     """First-order Trotter approximation of U, in place.
 
-    Applies (prod_X exp(-i h_X tau/N))**N followed by the global phase
-    exp(i tau E_max).  Each group exponential is exact: the strings of a
-    Hermitian term pair share their X/Y support and carry real
-    coefficients, hence commute, so exp reduces to a product of
-    single-string rotations.  When the 2^n x 2^n slice matrix fits
-    SLICE_MATRIX_BYTES and there are more slices than columns, the slice
-    is applied once to the identity and the state then takes N mat-vecs;
-    otherwise the slice is applied to the state N times.
+    Applies (prod_s exp(-i c_s P_s tau/N))**N followed by the global phase
+    exp(i tau E_max), one rotation per string P_s of the merged operator
+    jordan_wigner(terms), in its (x, z) order: the strings that
+    resources.count_u and count_controlled_u price.  The coefficients c_s
+    must be real, i.e. the terms Hermitian, else ValueError.  When the
+    2^n x 2^n slice matrix fits SLICE_MATRIX_BYTES and there are more
+    slices than columns, the slice is applied once to the identity and the
+    state then takes N mat-vecs; otherwise the slice is applied to the
+    state N times.
     """
-    x, z, c = _group_strings(_hermitian_groups(terms, plan.term_order), state.n_qubits)
+    op = jordan_wigner(terms, state.n_qubits)
+    if np.any(np.abs(op.coeffs.imag) > 1e-12):
+        raise ValueError("terms map to a complex Pauli coefficient; "
+                         "Hamiltonian is not Hermitian")
     theta = window.tau / plan.n_slices
-    rotations = list(zip(x.tolist(), z.tolist(), [theta * v for v in c.tolist()]))
+    rotations = list(zip(op.x.tolist(), op.z.tolist(),
+                         [theta * v for v in op.coeffs.real.tolist()]))
     amps = state.amplitudes
     signs: dict[int, np.ndarray] = {}
     dim = amps.size

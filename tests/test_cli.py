@@ -284,6 +284,13 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "odd" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("counts", [[11, 11], [31, 11, 51, 11]])
+    def test_repeated_repetition_count_rejected(self, counts, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, repetition_counts=counts)
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "repetition count 11 is repeated" in capsys.readouterr().err
+        assert not (tmp_path / "scan.csv").exists()
+
     def test_bits_beyond_float64_phase_rejected(self, tmp_path, capsys):
         cfg_path = write_config(
             tmp_path, ipea={"e_max": 1.0, "e_min": -1.5, "bits": 70, "seed": 7}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qfci.errors import (
     ElectronCountExceedsOrbitals,
@@ -20,6 +22,22 @@ from qfci.phase_estimation import IpeaConfig, ipea_a_success_probability
 from tests.oracles import dense_s_squared
 
 SQ2 = 1.0 / np.sqrt(2.0)
+
+
+@st.composite
+def sector_12_guesses(draw):
+    """Normalised guesses over distinct (1,2) determinants, in drawn order."""
+    n_orb = draw(st.integers(2, 4))
+    masks = draw(st.lists(st.sampled_from(enumerate_sector(n_orb, 1, 2)),
+                          min_size=1, unique=True))
+    part = st.floats(-1.0, 1.0)
+    real = draw(st.booleans())
+    amps = np.array([complex(draw(part), 0.0 if real else draw(part)) for _ in masks])
+    norm = np.linalg.norm(amps)
+    assume(norm > 1e-3)
+    amps /= norm
+    assume(np.all(amps != 0))  # the loader drops zero amplitudes at any threshold
+    return GuessState(2 * n_orb, tuple(zip(masks, amps.tolist())))
 
 
 class TestGuessState:
@@ -155,6 +173,30 @@ class TestLoadAmplitudeGuess:
         write_amplitude_guess(p, g)
         back = load_amplitude_guess(p)
         assert dict(back.entries) == pytest.approx(dict(g.entries))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sector_12_guesses())
+    def test_round_trip_keeps_masks_order_and_amplitudes(self, tmp_path_factory, g):
+        p = tmp_path_factory.getbasetemp() / "round_trip.txt"
+        write_amplitude_guess(p, g)
+        back = load_amplitude_guess(p)
+        assert [m for m, _ in back.entries] == [m for m, _ in g.entries]
+        for (_, a), (_, b) in zip(back.entries, g.entries):
+            assert abs(a - b) <= 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(sector_12_guesses(), st.data())
+    def test_threshold_keeps_entries_strictly_above(self, tmp_path_factory, g, data):
+        magnitudes = [abs(a) for _, a in g.entries]
+        t = data.draw(st.sampled_from(magnitudes) | st.floats(0.0, 1.0))
+        p = tmp_path_factory.getbasetemp() / "threshold.txt"
+        write_amplitude_guess(p, g)
+        expect = [m for m, a in g.entries if abs(a) > t]
+        if not expect:
+            with pytest.raises(EmptyAfterThreshold):
+                load_amplitude_guess(p, threshold=t)
+            return
+        assert [m for m, _ in load_amplitude_guess(p, threshold=t).entries] == expect
 
 
 class TestRandomSectorState:

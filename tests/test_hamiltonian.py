@@ -295,25 +295,6 @@ class TestJordanWignerOracle:
         assert int(op.x.max()) >> (n_modes - 1) == 1
 
 
-class TestGroupedJordanWigner:
-    @pytest.mark.parametrize(
-        "n_modes, n_groups", [(8, 1), (8, 5), (30, 9), (62, 3)],
-        ids=["one-group", "packed", "wider-than-int64", "62-modes"],
-    )
-    def test_groups_map_as_if_alone(self, n_modes, n_groups):
-        """Result is each group's own mapping, concatenated in group order."""
-        shift = n_modes - 8
-        terms = [FermionTerm(t.coefficient, tuple((m + shift, c) for m, c in t.ops))
-                 for t in _random_terms(4, 3)]
-        ids = np.random.default_rng(n_modes).integers(0, n_groups, len(terms))
-        op = hamiltonian._jordan_wigner(terms, n_modes, ids)
-        ops = [jordan_wigner([t for t, i in zip(terms, ids) if i == g], n_modes)
-               for g in range(n_groups)]
-        assert np.array_equal(op.x, np.concatenate([o.x for o in ops]))
-        assert np.array_equal(op.z, np.concatenate([o.z for o in ops]))
-        assert np.array_equal(op.coeffs, np.concatenate([o.coeffs for o in ops]))
-
-
 LADDER = st.tuples(st.integers(0, 2), st.booleans())
 TERM = st.builds(
     FermionTerm,

@@ -5,16 +5,14 @@ import qfci.propagator as propagator
 from qfci.errors import DimensionMismatch, MissingSector
 from qfci.hamiltonian import (
     FermionTerm,
-    build_second_quantized,
+    PauliOperator,
+    PauliString,
     exact_eigensolve,
     jordan_wigner,
 )
-from qfci.integrals import random_molecular_integrals, to_spin_orbitals
 from qfci.propagator import (
     EvolutionWindow,
     TrotterPlan,
-    _group_strings,
-    _hermitian_groups,
     controlled_u_power_exact,
     recommend_slices,
     trotter_u,
@@ -27,7 +25,7 @@ from qfci.statevector import (
     new_register,
     rz_phase,
 )
-from tests.oracles import dense_fermion
+from tests.oracles import dense_fermion, dense_pauli
 
 
 def dense_window_u(terms, n: int, window: EvolutionWindow, power: int = 1):
@@ -303,36 +301,30 @@ class TestTrotter:
         err = np.linalg.norm(sv.amplitudes - ref.amplitudes)
         assert err <= 10 * eps
 
-    def test_term_order_validation(self, h2_terms, window):
-        sv = StateVector(4, random_state(4, 25))
-        with pytest.raises(ValueError):
-            trotter_u(sv, h2_terms, window,
-                      TrotterPlan(n_slices=1, term_order=(0, 0, 1)))
+    def test_slice_is_product_over_merged_strings(self, h2_terms, window):
+        """One rotation per string of jordan_wigner(terms), in its order."""
+        n_slices = 3
+        theta = window.tau / n_slices
+        step = np.eye(16, dtype=complex)
+        for s in jordan_wigner(h2_terms, 4).terms:
+            p = dense_pauli(PauliOperator(4, [PauliString(1.0, s.factors)]))
+            angle = theta * s.coefficient.real
+            step = (np.cos(angle) * np.eye(16) - 1j * np.sin(angle) * p) @ step
+        expect = np.linalg.matrix_power(step, n_slices) * np.exp(
+            1j * window.tau * window.e_max)
+        got = np.empty((16, 16), dtype=complex)
+        for j in range(16):
+            sv = StateVector(4, np.eye(16, dtype=complex)[j])
+            got[:, j] = trotter_u(sv, h2_terms, window, TrotterPlan(n_slices)).amplitudes
+        assert np.abs(got - expect).max() <= 1e-12
 
-    def test_reordered_terms_still_converge(self, h2_terms, h2_full_spectra, window):
-        rng = np.random.default_rng(1)
-        order = tuple(rng.permutation(len(h2_terms)))
-        amps = random_state(4, 26)
-        ref = StateVector(4, amps.copy())
-        u_power_exact(ref, h2_full_spectra, window)
-        sv = StateVector(4, amps.copy())
-        trotter_u(sv, h2_terms, window, TrotterPlan(n_slices=64, term_order=order))
-        assert np.linalg.norm(sv.amplitudes - ref.amplitudes) < 0.01
-
+    def test_non_hermitian_terms_rejected(self, window):
+        sv = StateVector(2, random_state(2, 29))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            trotter_u(sv, [FermionTerm(1.0, ((0, True), (1, False)))], window,
+                      TrotterPlan(n_slices=1))
 
 class TestCompiledTrotter:
-    @pytest.mark.parametrize("n_orb", [0, 3, 4], ids=["h2", "random3", "random4"])
-    def test_group_strings_match_per_group_mapping(self, h2_terms, n_orb):
-        terms = h2_terms if n_orb == 0 else build_second_quantized(to_spin_orbitals(
-            random_molecular_integrals(n_orb, np.random.default_rng(n_orb))))
-        n = 4 if n_orb == 0 else 2 * n_orb
-        groups = _hermitian_groups(list(terms), None)
-        x, z, c = _group_strings(groups, n)
-        ops = [jordan_wigner(g, n) for g in groups]
-        assert np.array_equal(x, np.concatenate([op.x for op in ops]))
-        assert np.array_equal(z, np.concatenate([op.z for op in ops]))
-        assert np.array_equal(c, np.concatenate([op.coeffs.real for op in ops]))
-
     def test_slice_matrix_matches_slices_applied_to_state(self, h2_terms, window,
                                                           monkeypatch):
         amps = random_state(4, 27)
