@@ -23,8 +23,8 @@ _SQRT_HALF = 1.0 / np.sqrt(2.0)
 class GuessState:
     """Sparse register state: (determinant bitmask, amplitude) entries.
 
-    Entries are normalized; a guess spans a single particle-number
-    sector unless multi_sector is set (amplitude files may mix sectors).
+    Entries are normalized, exact zeros dropped; a guess spans one
+    particle-number sector unless multi_sector is set (amplitude files may mix sectors).
     """
 
     n_qubits: int
@@ -33,6 +33,7 @@ class GuessState:
     multi_sector: bool = False
 
     def __post_init__(self):
+        self.entries = tuple((m, a) for m, a in self.entries if a != 0)
         norm2 = sum(abs(a) ** 2 for _, a in self.entries)
         if abs(norm2 - 1.0) > 1e-12:
             raise ValueError(f"guess {self.label!r} has norm^2 {norm2}")

@@ -27,7 +27,7 @@ UNCOVERED_TOL = 1e-12
 SOLVE_BYTES_PER_ELEMENT = 5 * 8
 SECTOR_BYTE_BUDGET = 2 << 30
 SECTOR_CAP = isqrt(SECTOR_BYTE_BUDGET // SOLVE_BYTES_PER_ELEMENT)
-# Elements per (terms x determinants) temporary in the sector build
+# Elements per (terms x strings) table and per pair array in the sector build
 CHUNK_ELEMENTS = 1 << 14
 # Mask components per block in Jordan-Wigner; each block is one insert
 # into the running sorted key set, so larger blocks mean fewer inserts
@@ -450,43 +450,60 @@ def _term_runs(terms: Iterable[FermionTerm], n_so: int):
     return terms.runs
 
 
+def _string_entries(strings: np.ndarray, masks: np.ndarray, scale: int, dim: int):
+    """Alive (term, string) entries of a term block on one spin, term-major: the
+    term, cell part (j * dim + i) * scale of string i flipped to j, sign, j found."""
+    occ, empty, flip, chain = masks[:, :, None]
+    t, i = np.nonzero(((strings & occ) == occ) & ((strings & empty) == 0))
+    image = strings[i] ^ flip[t, 0]
+    j = np.searchsorted(strings, image)
+    sign = 1.0 - 2.0 * (np.bitwise_count(strings[i] & chain[t, 0]) & 1)
+    return t, (j * dim + i) * scale, sign, strings.take(j, mode="clip") == image
+
+
 def _sector_matrix(
     terms: Sequence[FermionTerm], n_so: int, dets: np.ndarray, sector
 ) -> np.ndarray:
-    """Dense H over the sorted determinants, built over (terms x dets) blocks.
+    """Dense H over the sector's determinants, in enumerate_sector's order.
 
-    Ladder ops act right to left on every determinant of a block at once;
-    contributions are added in term order, so each cell sums exactly as a
-    per-determinant, per-term loop would.
+    One right-to-left walk over a term's ops gives the bits its alive
+    determinants have set (occ) and clear (empty), the flipped bits, the
+    chain whose parity signs it, and a constant sign (folded into coef).
+    Tested per spin on the ascending strings, the masks give its alive
+    pairs as a product of two lists, added in term order: each cell sums
+    as a per-determinant, per-term loop would.  Blocks of `step` terms
+    and beta entries bound string tables and pairs by CHUNK_ELEMENTS.
     """
-    dim = dets.size
+    n_orb, dim = n_so // 2, dets.size
+    n_a = max(comb(n_orb, sector[0]), 1)
+    alphas, betas = dets[:n_a] & ((1 << n_orb) - 1), dets[::n_a] >> n_orb
     flat = np.zeros(dim * dim)
-    step = max(1, CHUNK_ELEMENTS // max(dim, 1))
+    step = max(1, CHUNK_ELEMENTS // max(1, alphas.size, betas.size))
     for modes, creation, coef in _term_runs(terms, n_so):
+        occ, empty, flip, chain = masks = np.zeros((4, coef.size), dtype=np.int64)
+        for bit, create in zip(np.left_shift(1, modes).T[::-1], creation.T[::-1]):
+            need = np.where(((flip & bit) != 0) == create, bit, 0)
+            occ |= need
+            empty |= bit ^ need
+            coef = coef * (1.0 - 2.0 * (np.bitwise_count(flip & (bit - 1)) & 1))
+            chain ^= bit - 1
+            flip ^= bit
         for lo in range(0, coef.size, step):
-            block = slice(lo, lo + step)
-            bits = np.left_shift(1, modes[block])
-            flags = creation[block]
-            state = np.repeat(dets[None, :], bits.shape[0], axis=0)
-            alive = np.ones(state.shape, dtype=bool)
-            parity = np.zeros(state.shape, dtype=np.uint8)
-            for o in range(bits.shape[1] - 1, -1, -1):
-                bit = bits[:, o, None]
-                alive &= ((state & bit) != 0) != flags[:, o, None]
-                parity ^= np.bitwise_count(state & (bit - 1))
-                state ^= bit
-            t, j = np.nonzero(alive)
-            out = state[t, j]
-            i = np.minimum(np.searchsorted(dets, out), dim - 1)
-            lost = np.nonzero(dets[i] != out)[0]
-            if lost.size:
-                # term left the sector; molecular terms never do
-                raise DimensionMismatch(
-                    f"term maps determinant {int(dets[j[lost[0]]]):#x} "
-                    f"out of sector {sector}"
-                )
-            signs = 1.0 - 2.0 * (parity[t, j] & 1)
-            np.add.at(flat, i * dim + j, coef[block][t] * signs)
+            block = masks[:, lo:lo + step]
+            ta, ka, sa, fa = _string_entries(alphas, block & ((1 << n_orb) - 1), 1, dim)
+            tb, kb, sb, fb = _string_entries(betas, block >> n_orb, n_a, dim)
+            # beta entry e pairs with the n[e] alpha entries of its term from first[e]
+            count_a = np.bincount(ta, minlength=step)
+            first, n = (np.cumsum(count_a) - count_a)[tb], count_a[tb]
+            value_b = coef[lo:][tb] * sb
+            starts = np.cumsum(n) - n
+            for e0 in range(0, tb.size, step):
+                b = np.repeat(np.arange(e0, min(e0 + step, tb.size)), n[e0:e0 + step])
+                a = first[b] + np.arange(starts[e0], starts[e0] + b.size) - starts[b]
+                if not (fa[a] & fb[b]).all():  # the term left the sector; molecular terms never do
+                    d = int(dets[(kb[b] + ka[a])[np.argmin(fa[a] & fb[b])] % dim])
+                    raise DimensionMismatch(f"term maps determinant {d:#x} out of sector {sector}")
+                np.add.at(flat, kb[b] + ka[a], value_b[b] * sa[a])
     return flat.reshape(dim, dim)
 
 
@@ -544,6 +561,13 @@ def _require_disjoint(spectra: list[SectorSpectrum]) -> None:
         raise DimensionMismatch("supplied spectra share a determinant")
 
 
+def basis_product(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """u @ x for contiguous complex x; a real u takes one BLAS call on x's (n, 2) view."""
+    if np.iscomplexobj(u):
+        return u @ x
+    return (u @ x.view(np.float64).reshape(-1, 2)).view(np.complex128).reshape(-1)
+
+
 def eigen_coefficients(amplitudes: np.ndarray, spectra: list[SectorSpectrum]):
     """Project a register state onto the block eigenvectors.
 
@@ -561,9 +585,9 @@ def eigen_coefficients(amplitudes: np.ndarray, spectra: list[SectorSpectrum]):
         if int(dets.max(initial=0)) >= amps.size:
             raise DimensionMismatch(f"spectrum determinants exceed {amps.size} amplitudes")
         sub = amps[dets]
-        covered += float(np.sum(np.abs(sub) ** 2))
-        coefficients.append(block.eigenvectors.conj().T @ sub)
-    return coefficients, float(np.sum(np.abs(amps) ** 2)) - covered
+        covered += np.vdot(sub, sub).real
+        coefficients.append(basis_product(block.eigenvectors.conj().T, sub))
+    return coefficients, float(np.vdot(amps, amps).real - covered)
 
 
 def covered_coefficients(amplitudes: np.ndarray,
@@ -586,4 +610,4 @@ def eigen_weights(amplitudes: np.ndarray, spectra: list[SectorSpectrum]):
     coefficients, uncovered = eigen_coefficients(amplitudes, spectra)
     weights = {(b, i): abs(c) ** 2 for b, block in enumerate(coefficients)
                for i, c in enumerate(block.tolist())}
-    return weights, float(np.sum(np.abs(np.asarray(amplitudes)) ** 2)) - uncovered
+    return weights, float(np.vdot(amplitudes, amplitudes).real) - uncovered

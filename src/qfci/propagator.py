@@ -16,6 +16,7 @@ import numpy as np
 from .hamiltonian import (
     FermionTerm,
     SectorSpectrum,
+    basis_product,
     covered_coefficients,
     jordan_wigner,
 )
@@ -82,7 +83,7 @@ def _propagate(amps: np.ndarray, spectra: list[SectorSpectrum],
     for block, coeffs in zip(spectra, coefficients):
         turns = np.mod(power * window.phase_of(block.eigenvalues), 1.0)
         coeffs *= np.exp(2j * np.pi * turns)
-        amps[block.determinants] = block.eigenvectors @ coeffs
+        amps[block.determinants] = basis_product(block.eigenvectors, coeffs)
 
 
 def u_power_exact(

@@ -509,6 +509,49 @@ class TestSectorBuildOracle:
         assert dim * len(terms) > 8 * CHUNK_ELEMENTS
 
 
+@st.composite
+def hand_made_sector_builds(draw):
+    """(terms, n_so, sector): hand-made terms of 0-4 ops on a small sector.
+
+    Free terms take any ops in any order, so they repeat modes, die on
+    every determinant or leave the sector; paired terms conserve the
+    particle number, and flip spin when a pair's modes differ in spin.
+    """
+    n_orb = draw(st.integers(1, 3))
+    n_so = 2 * n_orb
+    sector = (draw(st.integers(0, n_orb)), draw(st.integers(0, n_orb)))
+    mode = st.integers(0, n_so - 1)
+    free = st.lists(st.tuples(mode, st.booleans()), max_size=4)
+    paired = st.lists(st.tuples(mode, mode), max_size=2).flatmap(
+        lambda pairs: st.permutations([(p, True) for p, _ in pairs]
+                                      + [(q, False) for _, q in pairs]))
+    term = st.builds(FermionTerm, st.floats(-2.0, 2.0), st.one_of(free, paired).map(tuple))
+    return draw(st.lists(term, max_size=6)), n_so, sector
+
+
+class TestSectorBuildHandMadeTerms:
+    @settings(max_examples=300, deadline=None)
+    @given(hand_made_sector_builds())
+    def test_matches_loop_build_bitwise_or_raises_when_alive_outside(self, case):
+        terms, n_so, sector = case
+        dets = np.array(enumerate_sector(n_so // 2, *sector), dtype=np.int64)
+        try:
+            expected = sector_matrix_by_loop(terms, n_so, sector)
+        except KeyError:  # some term maps a determinant out of the sector
+            with pytest.raises(DimensionMismatch, match="maps determinant 0x"):
+                hamiltonian._sector_matrix(terms, n_so, dets, sector)
+            return
+        built = hamiltonian._sector_matrix(terms, n_so, dets, sector)
+        assert built.tobytes() == expected.tobytes()
+
+    def test_spin_flip_dead_on_the_sector_is_not_an_error(self):
+        # a+ alpha 0 a beta 0 finds no beta electron in (1, 0); a_1 a_1 dies everywhere
+        terms = [FermionTerm(1.0, ((0, True), (2, False))),
+                 FermionTerm(0.5, ((1, False), (1, False)))]
+        dets = np.array(enumerate_sector(2, 1, 0), dtype=np.int64)
+        assert not hamiltonian._sector_matrix(terms, 4, dets, (1, 0)).any()
+
+
 class TestSpectraHelpers:
     def test_spectra_for_state_covers_support(self, h2_terms):
         psi = np.zeros(16, complex)

@@ -7,6 +7,9 @@ from qfci.hamiltonian import (
     FermionTerm,
     PauliOperator,
     PauliString,
+    SectorSpectrum,
+    basis_product,
+    eigen_coefficients,
     exact_eigensolve,
     jordan_wigner,
 )
@@ -124,6 +127,35 @@ class TestExactPropagator:
             else:
                 u_power_exact(sv, [h2_spectrum_11], window, power=3)
         assert np.array_equal(sv.amplitudes, before)
+
+
+class TestBasisProducts:
+    """Real eigenvectors take the (n, 2) float64 view product, complex ones u @ x."""
+
+    def test_complex_eigenvectors_match_dense_reference(self, window):
+        rng = np.random.default_rng(12)
+        u, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        energies = np.sort(rng.uniform(-1.4, 0.9, 8))
+        spec = SectorSpectrum(None, energies, u, np.arange(8))
+        psi = random_state(3, 13)
+        coefficients, uncovered = eigen_coefficients(psi, [spec])
+        assert np.max(np.abs(coefficients[0] - u.conj().T @ psi)) <= 1e-13
+        assert abs(uncovered) <= 1e-13
+        sv = StateVector(3, psi.copy())
+        u_power_exact(sv, [spec], window, power=3)
+        theta = 2 * np.pi * 3 * window.phase_of(energies)
+        dense = (u * np.exp(1j * theta)) @ u.conj().T
+        assert np.max(np.abs(sv.amplitudes - dense @ psi)) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 7, 64])
+    def test_real_eigenvectors_match_complex_cast_product(self, dim):
+        rng = np.random.default_rng(dim)
+        u, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        for matrix in (u, u.T):
+            got = basis_product(matrix, x)
+            assert got.shape == (dim,) and got.dtype == np.complex128
+            assert np.max(np.abs(got - matrix.astype(np.complex128) @ x)) <= 1e-14
 
 
 class TestControlledPropagator:
