@@ -150,12 +150,20 @@ class FermionTerms(Sequence):
 
     Each run is (modes int64[T, k], creation bool[T, k], coef float64[T])
     with ops leftmost first; runs are non-empty and kept in term order.
-    ``len()`` builds no FermionTerm.
+    ``len()`` builds no FermionTerm.  ``hermitian`` (read-only) is True only
+    for build_second_quantized output whose terms' adjoints are all present
+    with equal coefficients; jordan_wigner then skips the cancelling strings.
     """
 
-    def __init__(self, runs: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]):
+    def __init__(self, runs: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                 hermitian: bool = False):
         self.runs = tuple(run for run in runs if run[2].size)
         self._ends = np.cumsum([run[2].size for run in self.runs], dtype=np.int64)
+        self._hermitian = hermitian
+
+    @property
+    def hermitian(self) -> bool:
+        return self._hermitian
 
     @classmethod
     def from_terms(cls, terms: Iterable[FermionTerm]) -> "FermionTerms":
@@ -196,23 +204,26 @@ def build_second_quantized(soi: SpinOrbitalIntegrals) -> FermionTerms:
     """Emit the scalar core, h_pq a+_p a_q and (1/2)<pq|rs> a+_p a+_q a_s a_r.
 
     Zero integrals are skipped; h terms come in row-major (p, q) order and
-    g terms in row-major (p, q, r, s) order.
+    g terms in row-major (p, q, r, s) order.  The terms are marked hermitian
+    when h == h.T and g_pqrs == g_rspq hold bit for bit: the adjoint of
+    term (p, q) is term (q, p), and that of term (p, q, r, s) is (r, s, p, q).
     """
+    h, g = (np.asarray(t, dtype=np.float64) for t in (soi.h, soi.g))
     runs = []
     if soi.core_energy != 0.0:
         runs.append((np.zeros((1, 0), dtype=np.int64), np.zeros((1, 0), dtype=bool),
                      np.array([float(soi.core_energy)])))
     # (tensor, index order of the ops, creation flags, scale): p+ q- and p+ q+ s- r-
     for tensor, order, creation, scale in (
-        (soi.h, [0, 1], [True, False], 1.0),
-        (soi.g, [0, 1, 3, 2], [True, True, False, False], 0.5),
+        (h, [0, 1], [True, False], 1.0),
+        (g, [0, 1, 3, 2], [True, True, False, False], 0.5),
     ):
-        tensor = np.asarray(tensor, dtype=np.float64)
         nonzero = tensor != 0.0
         modes = np.argwhere(nonzero)[:, order]
         runs.append((modes, np.broadcast_to(np.array(creation), modes.shape),
                      scale * tensor[nonzero]))
-    return FermionTerms(runs)
+    hermitian = np.array_equal(h, h.T) and np.array_equal(g, g.transpose(2, 3, 0, 1))
+    return FermionTerms(runs, hermitian)
 
 
 # -- Jordan-Wigner ------------------------------------------------------
@@ -223,7 +234,8 @@ def build_second_quantized(soi: SpinOrbitalIntegrals) -> FermionTerms:
 # (1/2, bit, chain) and (+-1/2, bit, chain | bit).
 
 
-def _term_components(modes: np.ndarray, creation: np.ndarray, coef: np.ndarray):
+def _term_components(modes: np.ndarray, creation: np.ndarray, coef: np.ndarray,
+                     even_y: bool = False):
     """Pauli sums of a block of k-op terms as (x, z, value), term by term.
 
     Op o maps to (1/2) X^bit Z^chain (1 +- Z^bit), + for a creator, so
@@ -235,7 +247,8 @@ def _term_components(modes: np.ndarray, creation: np.ndarray, coef: np.ndarray):
     same z, so each z sums 2^(k - distinct modes) signs: all equal when w
     is constant over each mode's ops, else cancelling to zero.  Each z is
     emitted once, for the subset picking only first ops of their modes,
-    with that exact integer sum times coef / 2^k.
+    with that exact integer sum times coef / 2^k.  With even_y, strings
+    with an odd popcount(x & z) (odd Y count) are not emitted.
     """
     k = modes.shape[1]
     bits = np.left_shift(1, modes)
@@ -253,15 +266,18 @@ def _term_components(modes: np.ndarray, creation: np.ndarray, coef: np.ndarray):
     live = np.ones(coef.size, dtype=bool)
     for (a, o), eq in same.items():
         live &= ~eq | (w[:, a] == w[:, o])
-    # picks[c, o]: subset c picks op o; rows of the [T, 2^k] arrays are terms
-    picks = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-    keep = (live[:, None] & (repeat.astype(np.int64) @ picks.T == 0)).ravel()
-    z = np.bitwise_xor.reduce(bits - 1, axis=1)[:, None] ^ (bits @ picks.T)
-    count = (1 - 2 * ((p0[:, None] + w @ picks.T) & 1)) << (
-        k - np.count_nonzero(~repeat, axis=1)[:, None])
-    value = count * (coef * 0.5**k)[:, None]
-    x = np.bitwise_xor.reduce(bits, axis=1)[np.flatnonzero(keep) >> k]
-    return x, z.ravel()[keep], value.ravel()[keep]
+    # picks[o, c]: subset c picks op o; rows of the [T, 2^k] arrays are terms
+    picks = (np.arange(1 << k) >> np.arange(k)[:, None]) & 1
+    fpicks = picks.astype(np.float64)  # 0/1 products are exact in float64 BLAS
+    x = np.bitwise_xor.reduce(bits, axis=1)
+    z = np.bitwise_xor.reduce(bits - 1, axis=1)[:, None] ^ (bits @ picks)
+    keep = live[:, None] & (repeat @ fpicks == 0)
+    if even_y:
+        keep &= (np.bitwise_count(x[:, None] & z) & 1) == 0
+    sign = 1 - 2 * ((p0[:, None] + (w @ fpicks).astype(np.int64)) & 1)
+    value = (sign << (k - np.count_nonzero(~repeat, axis=1)[:, None])) * (coef * 0.5**k)[:, None]
+    at = np.flatnonzero(keep)
+    return x[at >> k], z.take(at), value.take(at)
 
 
 def _keys(x: np.ndarray, z: np.ndarray, n_modes: int) -> np.ndarray:
@@ -294,16 +310,14 @@ def _merge_block(keys: np.ndarray, acc: np.ndarray, bkeys: np.ndarray,
     Keys of the block not yet in the set are inserted with a zero sum;
     the block's values are then added in block order.
     """
-    ukeys = np.sort(bkeys)
-    distinct = np.ones(ukeys.size, dtype=bool)
-    distinct[1:] = ukeys[1:] != ukeys[:-1]
-    ukeys = ukeys[distinct]
+    ukeys, inverse = np.unique(bkeys, return_inverse=True)
     at = np.searchsorted(keys, ukeys)
     fresh = at == keys.size
     fresh[~fresh] = keys[at[~fresh]] != ukeys[~fresh]
     keys = np.insert(keys, at[fresh], ukeys[fresh])
     acc = np.insert(acc, at[fresh], 0.0)
-    np.add.at(acc, np.searchsorted(keys, bkeys), value)
+    # block key i lands after the at[i] older keys and the fresh keys below it
+    np.add.at(acc, (at + np.cumsum(fresh) - fresh)[inverse], value)
     return keys, acc
 
 
@@ -314,7 +328,9 @@ def jordan_wigner(terms: Sequence[FermionTerm], n_modes: int) -> PauliOperator:
     components; each block's per-term sums are added into the merged
     coefficients in term order, so every coefficient sums exactly as a
     term-by-term dict merge would.  Strings at or below PRUNE_TOL are
-    dropped and the rest ordered by (x, z).
+    dropped and the rest ordered by (x, z).  On terms marked hermitian the
+    odd-Y strings, where each term's and its adjoint's values cancel, are
+    not expanded; every other string sums as on unmarked terms, bit for bit.
     """
     if n_modes > MAX_JW_MODES:
         raise DimensionMismatch(
@@ -323,11 +339,12 @@ def jordan_wigner(terms: Sequence[FermionTerm], n_modes: int) -> PauliOperator:
     empty = np.zeros(0, dtype=np.int64)
     keys = _keys(empty, empty, n_modes)
     acc = np.zeros(0)
+    even_y = isinstance(terms, FermionTerms) and terms.hermitian
     for modes, creation, coef in _term_runs(terms, n_modes):
         step = max(1, JW_CHUNK_ELEMENTS >> modes.shape[1])
         for lo in range(0, coef.size, step):
             block = slice(lo, lo + step)
-            x, z, value = _term_components(modes[block], creation[block], coef[block])
+            x, z, value = _term_components(modes[block], creation[block], coef[block], even_y)
             keys, acc = _merge_block(keys, acc, _keys(x, z, n_modes), value)
     keep = np.abs(acc) > PRUNE_TOL
     x, z = _unkey(keys[keep], n_modes)

@@ -250,7 +250,9 @@ def random_molecular_integrals(
 ) -> MolecularIntegrals:
     """Dense random integrals obeying the FCIDUMP symmetries (test/scaling aid).
 
-    Above TENSOR_BYTE_BUDGET it raises CapExceeded before drawing.
+    The symmetries hold bit for bit: each image is summed in pairs of
+    commuting additions.  Above TENSOR_BYTE_BUDGET it raises CapExceeded
+    before drawing.
     """
     if why := _over_budget(n_orb):
         raise CapExceeded(why)
@@ -258,11 +260,9 @@ def random_molecular_integrals(
     one = 0.5 * (one + one.T)
 
     t = rng.standard_normal((n_orb,) * 4) * scale
-    images = [
-        (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
-        (2, 3, 0, 1), (2, 3, 1, 0), (3, 2, 0, 1), (3, 2, 1, 0),
-    ]
-    two = sum(t.transpose(p) for p in images) / 8.0
+    t = t + t.transpose(1, 0, 2, 3)
+    t = t + t.transpose(0, 1, 3, 2)
+    two = (t + t.transpose(2, 3, 0, 1)) / 8.0
 
     if n_elec is None:
         n_elec = n_orb  # half filling

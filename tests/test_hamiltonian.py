@@ -25,6 +25,7 @@ from qfci.hamiltonian import (
 )
 from qfci.integrals import (
     MolecularIntegrals,
+    SpinOrbitalIntegrals,
     random_molecular_integrals,
     to_spin_orbitals,
 )
@@ -293,6 +294,57 @@ class TestJordanWignerOracle:
         assert_same_operator(op, ref)
         assert op.to_text() == ref.to_text()
         assert int(op.x.max()) >> (n_modes - 1) == 1
+
+
+def odd_y(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return (np.bitwise_count(x & z) & 1) == 1
+
+
+class TestHermitianJordanWigner:
+    """Marked terms skip the odd-Y strings and still map bit for bit."""
+
+    def assert_marked_matches_unmarked(self, terms, n_so) -> int:
+        """Bitwise checks; returns the number of odd-Y components skipped."""
+        assert terms.hermitian
+        skipped = 0
+        unmarked = FermionTerms(terms.runs)
+        assert not unmarked.hermitian
+        assert_same_operator(jordan_wigner(terms, n_so), jordan_wigner(unmarked, n_so))
+        for modes, creation, coef in terms.runs:
+            x, z, value = hamiltonian._term_components(modes, creation, coef, even_y=True)
+            assert not odd_y(x, z).any()
+            xa, za, va = hamiltonian._term_components(modes, creation, coef)
+            even = ~odd_y(xa, za)
+            for got, want in ((x, xa), (z, za), (value, va)):
+                assert np.array_equal(got, want[even])
+            skipped += int(np.count_nonzero(~even))
+        return skipped
+
+    def test_h2_fixture(self, h2_terms):
+        assert self.assert_marked_matches_unmarked(h2_terms, 4) > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 2**32 - 1))
+    def test_random_integrals(self, n_orb, seed):
+        self.assert_marked_matches_unmarked(_random_terms(n_orb, seed), 2 * n_orb)
+
+    def test_hand_built_terms_unmarked(self, h2_terms):
+        assert not FermionTerms.from_terms(list(h2_terms)).hermitian
+        with pytest.raises(AttributeError):
+            h2_terms.hermitian = False
+
+    @pytest.mark.parametrize("tensor", ["h", "g"])
+    def test_asymmetric_integrals_keep_odd_y_strings(self, h2_soi, tensor):
+        h, g = h2_soi.h.copy(), h2_soi.g.copy()
+        if tensor == "h":
+            h[0, 1], h[1, 0] = 0.3, -0.1
+        else:
+            g[0, 2, 1, 3] += 0.1
+        terms = build_second_quantized(SpinOrbitalIntegrals(4, h2_soi.core_energy, h, g))
+        assert not terms.hermitian
+        op = jordan_wigner(terms, 4)
+        assert_same_operator(op, jordan_wigner_by_dict(terms, 4))
+        assert odd_y(op.x, op.z).any()
 
 
 LADDER = st.tuples(st.integers(0, 2), st.booleans())

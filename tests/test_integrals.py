@@ -234,6 +234,18 @@ class TestMolecularIntegralsInvariants:
         for perm in [(1, 0, 2, 3), (2, 3, 0, 1), (0, 1, 3, 2)]:
             assert np.allclose(t, np.transpose(t, perm), atol=1e-14)
 
+    @pytest.mark.parametrize("n_orb", range(1, 7))
+    def test_random_generator_symmetries_hold_bitwise(self, n_orb):
+        for seed in range(5):
+            mol = random_molecular_integrals(n_orb, np.random.default_rng(seed))
+            t = mol.two_body
+            assert np.array_equal(mol.one_body, mol.one_body.T)
+            for perm in [
+                (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
+                (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0),
+            ]:
+                assert np.array_equal(t, np.transpose(t, perm))
+
 
 class TestToSpinOrbitals:
     def test_single_orbital(self):
