@@ -31,7 +31,6 @@ from .hamiltonian import (
     PauliOperator,
     PauliString,
     SectorSpectrum,
-    apply_ladder,
     apply_operator,
     build_second_quantized,
     eigen_weights,
@@ -101,7 +100,7 @@ __all__ = [
     "GuessState", "hf_determinant", "load_amplitude_guess", "open_shell_csf",
     "random_sector_state", "write_amplitude_guess",
     "FermionTerm", "FermionTerms", "PauliOperator", "PauliString", "SectorSpectrum",
-    "apply_ladder", "apply_operator", "build_second_quantized",
+    "apply_operator", "build_second_quantized",
     "eigen_weights", "enumerate_sector", "exact_eigensolve", "jordan_wigner",
     "sector_of", "spectra_for_state",
     "MolecularIntegrals", "SpinOrbitalIntegrals", "parse_fcidump",

@@ -94,16 +94,23 @@ def load_scan_config(path: str | Path, overrides: dict | None = None) -> ScanCon
     """Read a JSON scan description; overrides replace ipea-level fields.
 
     Relative paths inside the file resolve against the file's directory.
+    A value of the wrong type or out of range raises QfciError naming the
+    file.
     """
     path = Path(path)
-    base = path.parent
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise QfciError(f"{path}: malformed JSON: {exc}") from exc
-    overrides = overrides or {}
+    try:
+        return _parse_scan_config(raw, path, overrides or {})
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise QfciError(f"{path}: {exc}") from exc
 
+
+def _parse_scan_config(raw, path: Path, overrides: dict) -> ScanConfig:
+    base = path.parent
     ipea_raw = dict(_require(raw, "ipea", str(path)))
     bits = int(overrides.get("bits", ipea_raw.get("bits", 20)))
     variant = str(overrides.get("variant", ipea_raw.get("variant", "A")))
@@ -128,16 +135,13 @@ def load_scan_config(path: str | Path, overrides: dict | None = None) -> ScanCon
         raise QfciError(
             f"ipea.whole_run_repeats: a scan runs each point once, got {repeats!r}"
         )
-    try:
-        cfg = IpeaConfig(
-            window=EvolutionWindow(e_max=e_max, e_min=e_min),
-            m=bits,
-            variant=variant,
-            repetitions_per_bit=int(ipea_raw.get("repetitions_per_bit", reps_list[0])),
-            rng_seed=seed,
-        )
-    except ValueError as exc:
-        raise QfciError(f"ipea: {exc}") from exc
+    cfg = IpeaConfig(
+        window=EvolutionWindow(e_max=e_max, e_min=e_min),
+        m=bits,
+        variant=variant,
+        repetitions_per_bit=int(ipea_raw.get("repetitions_per_bit", reps_list[0])),
+        rng_seed=seed,
+    )
 
     outputs = raw.get("outputs", {})
     csv_path = Path(overrides.get("csv", outputs.get("csv", "scan.csv")))

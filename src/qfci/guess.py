@@ -14,7 +14,7 @@ from .errors import (
     OverlapWithCore,
 )
 from .hamiltonian import enumerate_sector, sector_of
-from .statevector import DEFAULT_QUBIT_CAP, StateVector
+from .statevector import StateVector
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -46,10 +46,10 @@ class GuessState:
                     "set multi_sector to allow"
                 )
 
-    def to_statevector(self, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
+    def to_statevector(self) -> StateVector:
         from .statevector import new_register
 
-        sv = new_register(self.n_qubits, cap=cap)
+        sv = new_register(self.n_qubits)
         sv.amplitudes[0] = 0.0
         for mask, amp in self.entries:
             sv.amplitudes[mask] = amp

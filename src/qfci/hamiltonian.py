@@ -226,58 +226,64 @@ def build_second_quantized(soi: SpinOrbitalIntegrals) -> FermionTerms:
     return FermionTerms(runs, hermitian)
 
 
+def _term_masks(modes: np.ndarray, creation: np.ndarray, coef: np.ndarray):
+    """((occ, empty, flip, chain), coef) of a block of k-op terms.
+
+    One right-to-left walk over each term's ops: term t maps a determinant
+    D with the occ[t] bits set and the empty[t] bits clear to
+    coef[t] (-1)^popcount(D & chain[t]) |D ^ flip[t]>, and every other
+    determinant to zero; occ & empty != 0 marks a term that is zero.  The
+    sign each op takes from the bits flipped before it goes into coef.
+    """
+    occ, empty, flip, chain = masks = np.zeros((4, coef.size), dtype=np.int64)
+    for bit, create in zip(np.left_shift(1, modes).T[::-1], creation.T[::-1]):
+        need = np.where(((flip & bit) != 0) == create, bit, 0)
+        occ |= need
+        empty |= bit ^ need
+        coef = coef * (1.0 - 2.0 * (np.bitwise_count(flip & (bit - 1)) & 1))
+        chain ^= bit - 1
+        flip ^= bit
+    return masks, coef
+
+
 # -- Jordan-Wigner ------------------------------------------------------
 #
-# Strings are carried as (x_mask, z_mask) for the operator X^x Z^z; the
-# product rule picks up (-1)^popcount(z1 & x2).  A mode's ladder operator
-# maps to (Z-chain) * (X -+ iY)/2, i.e. two mask components,
-# (1/2, bit, chain) and (+-1/2, bit, chain | bit).
+# Strings are carried as (x_mask, z_mask) for the operator X^x Z^z.  Read
+# through _term_masks, a term is coef X^flip Z^chain times the projectors
+# (1 - Z_b)/2 on its occ bits and (1 + Z_b)/2 on its empty bits.
 
 
 def _term_components(modes: np.ndarray, creation: np.ndarray, coef: np.ndarray,
                      even_y: bool = False):
     """Pauli sums of a block of k-op terms as (x, z, value), term by term.
 
-    Op o maps to (1/2) X^bit Z^chain (1 +- Z^bit), + for a creator, so
-    picking the Z^bit factor on a subset c of the ops gives the string
-    X^x Z^(z0 ^ L(c)) with sign (-1)^(p0 ^ <w, c>): L(c) is the XOR of the
-    picked bits, p0 counts the chain Z's that pass a later op's X, and w
-    marks an annihilator or an odd number of later ops on the same mode.
-    Subsets that differ by an even number of ops on every mode give the
-    same z, so each z sums 2^(k - distinct modes) signs: all equal when w
-    is constant over each mode's ops, else cancelling to zero.  Each z is
-    emitted once, for the subset picking only first ops of their modes,
-    with that exact integer sum times coef / 2^k.  With even_y, strings
-    with an odd popcount(x & z) (odd Y count) are not emitted.
+    Expanding a term's d = popcount(occ | empty) projector factors gives
+    one string per subset c of those bits: x = flip, z = chain ^ XOR(c)
+    and value coef (-1)^|c & occ| / 2^d.  The bits sit lowest first in k
+    slots and a subset that picks an empty slot is skipped, so each term
+    gives each z once; terms with occ & empty != 0 give nothing.  With
+    even_y, strings with an odd popcount(x & z) (odd Y count) are not
+    emitted.
     """
     k = modes.shape[1]
-    bits = np.left_shift(1, modes)
-    p0 = np.zeros(coef.size, dtype=np.int64)
-    w = (~creation).astype(np.int64)
-    repeat = np.zeros(modes.shape, dtype=bool)
-    same = {}
+    (occ, empty, x, chain), coef = _term_masks(modes, creation, coef)
+    cond = occ | empty
+    d = np.bitwise_count(cond)
+    slots = np.zeros(modes.shape, dtype=np.int64)
     for o in range(k):
-        for a in range(o):
-            same[a, o] = modes[:, a] == modes[:, o]
-            p0 += modes[:, o] < modes[:, a]
-            w[:, a] += same[a, o]
-            repeat[:, o] |= same[a, o]
-    w &= 1
-    live = np.ones(coef.size, dtype=bool)
-    for (a, o), eq in same.items():
-        live &= ~eq | (w[:, a] == w[:, o])
-    # picks[o, c]: subset c picks op o; rows of the [T, 2^k] arrays are terms
+        slots[:, o] = cond & -cond
+        cond = cond ^ slots[:, o]
+    # picks[o, c]: subset c picks slot o; rows of the [T, 2^k] arrays are terms
     picks = (np.arange(1 << k) >> np.arange(k)[:, None]) & 1
-    fpicks = picks.astype(np.float64)  # 0/1 products are exact in float64 BLAS
-    x = np.bitwise_xor.reduce(bits, axis=1)
-    z = np.bitwise_xor.reduce(bits - 1, axis=1)[:, None] ^ (bits @ picks)
-    keep = live[:, None] & (repeat @ fpicks == 0)
+    picked = slots @ picks
+    z = chain[:, None] ^ picked
+    keep = ((occ & empty) == 0)[:, None] & ((np.arange(1 << k) >> d[:, None]) == 0)
     if even_y:
         keep &= (np.bitwise_count(x[:, None] & z) & 1) == 0
-    sign = 1 - 2 * ((p0[:, None] + (w @ fpicks).astype(np.int64)) & 1)
-    value = (sign << (k - np.count_nonzero(~repeat, axis=1)[:, None])) * (coef * 0.5**k)[:, None]
     at = np.flatnonzero(keep)
-    return x[at >> k], z.take(at), value.take(at)
+    t, picked = at >> k, picked.take(at)
+    sign = 1.0 - 2.0 * (np.bitwise_count(picked & occ[t]) & 1)
+    return x[t], z.take(at), sign * (coef * 0.5**d)[t]
 
 
 def _keys(x: np.ndarray, z: np.ndarray, n_modes: int) -> np.ndarray:
@@ -356,25 +362,12 @@ def jordan_wigner(terms: Sequence[FermionTerm], n_modes: int) -> PauliOperator:
 # -- matrix-free application --------------------------------------------
 
 
-def apply_ladder(amps: np.ndarray, mode: int, creation: bool) -> np.ndarray:
-    """Apply a single a+_mode / a_mode with Jordan-Wigner parity signs."""
-    dim = amps.size
-    bit = 1 << mode
-    below = bit - 1
-    idx = np.arange(dim)
-    occupied = (idx & bit).astype(bool)
-    src = ~occupied if creation else occupied
-    out = np.zeros_like(amps)
-    sel = idx[src]
-    signs = 1.0 - 2.0 * (np.bitwise_count(sel & below) & 1)
-    out[sel ^ bit] = signs * amps[sel]
-    return out
-
-
 def apply_operator(op, state: np.ndarray) -> np.ndarray:
     """H|psi> for a PauliOperator or an iterable of FermionTerm.
 
     Matrix-free on the full 2**n space; the input array is not modified.
+    Fermion terms act through their _term_masks; a mode outside 0..n-1
+    raises DimensionMismatch.
     """
     amps = np.asarray(state, dtype=np.complex128).reshape(-1)
     dim = amps.size
@@ -394,14 +387,13 @@ def apply_operator(op, state: np.ndarray) -> np.ndarray:
             out[idx ^ x] += c * signs * amps
         return out
 
-    for term in op:
-        for mode, _ in term.ops:
-            if mode >= n:
-                raise DimensionMismatch(f"mode {mode} outside {n}-qubit register")
-        v = amps
-        for mode, creation in reversed(term.ops):
-            v = apply_ladder(v, mode, creation)
-        out += term.coefficient * v
+    idx = np.arange(dim)
+    for modes, creation, coef in _term_runs(op, n):
+        masks, coef = _term_masks(modes, creation, coef)
+        for (occ, empty, flip, chain), c in zip(masks.T.tolist(), coef.tolist()):
+            alive = idx[((idx & occ) == occ) & ((idx & empty) == 0)]
+            signs = 1.0 - 2.0 * (np.bitwise_count(alive & chain) & 1)
+            out[alive ^ flip] += c * signs * amps[alive]
     return out
 
 
@@ -483,13 +475,11 @@ def _sector_matrix(
 ) -> np.ndarray:
     """Dense H over the sector's determinants, in enumerate_sector's order.
 
-    One right-to-left walk over a term's ops gives the bits its alive
-    determinants have set (occ) and clear (empty), the flipped bits, the
-    chain whose parity signs it, and a constant sign (folded into coef).
-    Tested per spin on the ascending strings, the masks give its alive
-    pairs as a product of two lists, added in term order: each cell sums
-    as a per-determinant, per-term loop would.  Blocks of `step` terms
-    and beta entries bound string tables and pairs by CHUNK_ELEMENTS.
+    Each term's _term_masks, tested per spin on the ascending strings,
+    give its alive pairs as a product of two lists, added in term order:
+    each cell sums as a per-determinant, per-term loop would.  Blocks of
+    `step` terms and beta entries bound string tables and pairs by
+    CHUNK_ELEMENTS.
     """
     n_orb, dim = n_so // 2, dets.size
     n_a = max(comb(n_orb, sector[0]), 1)
@@ -497,14 +487,7 @@ def _sector_matrix(
     flat = np.zeros(dim * dim)
     step = max(1, CHUNK_ELEMENTS // max(1, alphas.size, betas.size))
     for modes, creation, coef in _term_runs(terms, n_so):
-        occ, empty, flip, chain = masks = np.zeros((4, coef.size), dtype=np.int64)
-        for bit, create in zip(np.left_shift(1, modes).T[::-1], creation.T[::-1]):
-            need = np.where(((flip & bit) != 0) == create, bit, 0)
-            occ |= need
-            empty |= bit ^ need
-            coef = coef * (1.0 - 2.0 * (np.bitwise_count(flip & (bit - 1)) & 1))
-            chain ^= bit - 1
-            flip ^= bit
+        masks, coef = _term_masks(modes, creation, coef)
         for lo in range(0, coef.size, step):
             block = masks[:, lo:lo + step]
             ta, ka, sa, fa = _string_entries(alphas, block & ((1 << n_orb) - 1), 1, dim)

@@ -185,12 +185,12 @@ def rounding_masses(phase: float, m: int) -> tuple[int, float, float]:
     return b, down, up
 
 
-def _as_statevector(guess, cap: int = 24) -> StateVector:
+def _as_statevector(guess) -> StateVector:
     if isinstance(guess, GuessState):
-        return guess.to_statevector(cap)
+        return guess.to_statevector()
     if isinstance(guess, StateVector):
         return guess
-    return from_amplitudes(guess, cap)
+    return from_amplitudes(guess)
 
 
 def _require_normalized(weights) -> None:

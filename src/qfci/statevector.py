@@ -28,24 +28,24 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def new_register(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
+def new_register(n_qubits: int) -> StateVector:
     """All-zeros register |0...0>."""
     if n_qubits < 1:
         raise IndexOutOfRange(f"need at least one qubit, got {n_qubits}")
-    if n_qubits > cap:
-        raise CapExceeded(f"{n_qubits} qubits exceeds cap {cap}")
+    if n_qubits > DEFAULT_QUBIT_CAP:
+        raise CapExceeded(f"{n_qubits} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(n_qubits, amps)
 
 
-def from_amplitudes(amps, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
+def from_amplitudes(amps) -> StateVector:
     amps = np.asarray(amps, dtype=np.complex128).reshape(-1).copy()
     n = int(amps.size).bit_length() - 1
     if (1 << n) != amps.size:
         raise IndexOutOfRange(f"amplitude count {amps.size} is not a power of two")
-    if n > cap:
-        raise CapExceeded(f"{n} qubits exceeds cap {cap}")
+    if n > DEFAULT_QUBIT_CAP:
+        raise CapExceeded(f"{n} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
     return StateVector(n, amps)
 
 

@@ -1,5 +1,7 @@
 import csv
 import json
+import operator
+from functools import reduce
 from pathlib import Path
 
 import jsonschema
@@ -13,6 +15,22 @@ from qfci.resources import fci_dimension
 from tests.conftest import FIXTURES, H2_SECTOR_11_EIGENVALUES
 
 SCHEMA_DIR = Path(__file__).parent.parent / "src" / "qfci" / "schemas"
+
+
+# (key path into write_config's config, wrongly typed value); () replaces the whole config
+MALFORMED_VALUES = [
+    (("ipea", "bits"), "x"),
+    (("ipea", "e_max"), "a"),
+    (("repetition_counts",), 11),
+    (("points", 0, "sector"), [1, "a"]),
+    (("points", 0, "sector"), 2),
+    (("points", 0, "guess"), "hf"),
+    (("points", 0, "target"), "x"),
+    (("ipea",), [1]),
+    (("outputs",), []),
+    (("points",), 5),
+    ((), 3),
+]
 
 
 def write_config(tmp_path: Path, **changes) -> Path:
@@ -326,6 +344,23 @@ class TestRunCommand:
         cfg_path.write_text('{"ipea": {"e_max": 1.0,', encoding="utf-8")
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "malformed JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, value", MALFORMED_VALUES,
+                             ids=[f"{'.'.join(map(str, w)) or 'top'}={json.dumps(v)}"
+                                  for w, v in MALFORMED_VALUES])
+    def test_wrongly_typed_value_exits_2(self, where, value, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+        if where:
+            *parents, key = where
+            reduce(operator.getitem, parents, cfg)[key] = value
+        else:
+            cfg = value
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not (tmp_path / "scan.csv").exists()
 
     def test_missing_fcidump_rejected(self, tmp_path, capsys):
         cfg_path = write_config(

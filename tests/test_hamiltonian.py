@@ -13,7 +13,6 @@ from qfci.hamiltonian import (
     FermionTerms,
     PauliOperator,
     PauliString,
-    apply_ladder,
     apply_operator,
     build_second_quantized,
     eigen_weights,
@@ -358,6 +357,30 @@ TERM = st.builds(
 )
 
 
+ODD_TERM = st.builds(
+    FermionTerm,
+    st.floats(-2.0, 2.0),
+    st.sampled_from([1, 3]).flatmap(
+        lambda k: st.lists(LADDER, min_size=k, max_size=k).map(tuple)
+    ),
+)
+
+
+class TestTermMasks:
+    @settings(max_examples=300, deadline=None)
+    @given(TERM | ODD_TERM)
+    def test_masks_rebuild_the_dense_term(self, term):
+        """[D ^ flip, D] = coef (-1)^popcount(D & chain) on alive D, zero elsewhere."""
+        modes, creation, coef = FermionTerms.from_terms([term]).runs[0]
+        masks, signed = hamiltonian._term_masks(modes, creation, coef)
+        occ, empty, flip, chain = masks[:, 0].tolist()
+        mat = np.zeros((8, 8))
+        for det in range(8):
+            if det & occ == occ and not det & empty:
+                mat[det ^ flip, det] = signed[0] * (-1) ** (det & chain).bit_count()
+        assert np.array_equal(mat, dense_fermion([term], 3))
+
+
 class TestJordanWignerProperties:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(TERM, max_size=6))
@@ -438,6 +461,20 @@ class TestApplyOperator:
         assert abs(lhs - rhs) < 1e-12
 
 
+MODE_CHECKS = {
+    "apply_operator": lambda terms: apply_operator(terms, np.zeros(16, complex)),
+    "jordan_wigner": lambda terms: jordan_wigner(terms, 4),
+    "exact_eigensolve": lambda terms: exact_eigensolve(terms, 4, (1, 1)),
+}
+
+
+@pytest.mark.parametrize("mode", [-1, 4])
+@pytest.mark.parametrize("entry", MODE_CHECKS.values(), ids=MODE_CHECKS.keys())
+def test_mode_outside_register_rejected(entry, mode):
+    with pytest.raises(DimensionMismatch, match="outside 0..3"):
+        entry([FermionTerm(1.0, ((mode, True), (0, False)))])
+
+
 class TestLadderAlgebra:
     def test_anticommutation(self):
         n = 4
@@ -446,10 +483,12 @@ class TestLadderAlgebra:
             for q in range(n):
                 eye = np.eye(dim)
                 a_p = np.column_stack(
-                    [apply_ladder(eye[:, c], p, False) for c in range(dim)]
+                    [apply_operator([FermionTerm(1.0, ((p, False),))], eye[:, c])
+                     for c in range(dim)]
                 )
                 adag_q = np.column_stack(
-                    [apply_ladder(eye[:, c], q, True) for c in range(dim)]
+                    [apply_operator([FermionTerm(1.0, ((q, True),))], eye[:, c])
+                     for c in range(dim)]
                 )
                 anti = a_p @ adag_q + adag_q @ a_p
                 expect = np.eye(dim) if p == q else np.zeros((dim, dim))
@@ -461,7 +500,7 @@ class TestLadderAlgebra:
         for mode in range(3):
             for creation in (False, True):
                 assert np.allclose(
-                    apply_ladder(psi, mode, creation),
+                    apply_operator([FermionTerm(1.0, ((mode, creation),))], psi),
                     dense_ladder(3, mode, creation) @ psi,
                     atol=1e-14,
                 )
