@@ -7,7 +7,6 @@ from .errors import (
     DimensionMismatch,
     ElectronCountExceedsOrbitals,
     EmptyAfterThreshold,
-    EmptyString,
     IndexOutOfRange,
     MalformedLine,
     MissingSector,
@@ -38,7 +37,6 @@ from .hamiltonian import (
     exact_eigensolve,
     jordan_wigner,
     sector_of,
-    spectra_for_state,
 )
 from .integrals import (
     MolecularIntegrals,
@@ -59,7 +57,6 @@ from .phase_estimation import (
     ipea_b_run,
     ipea_b_success_probability,
     pea_distribution,
-    pea_kernel,
     rounding_masses,
     sample_b_outcomes,
 )
@@ -74,7 +71,6 @@ from .propagator import (
 from .resources import (
     GateCounts,
     count_controlled_u,
-    count_string_exponential,
     count_u,
     fci_dimension,
     fitted_exponent,
@@ -86,34 +82,29 @@ from .statevector import (
     from_amplitudes,
     measure_qubit,
     new_register,
-    overlap,
-    probability_of,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CapExceeded", "ConsistencyError", "DegenerateState", "DimensionMismatch",
-    "ElectronCountExceedsOrbitals", "EmptyAfterThreshold", "EmptyString",
+    "ElectronCountExceedsOrbitals", "EmptyAfterThreshold",
     "IndexOutOfRange", "MalformedLine", "MissingSector", "OverlapWithCore",
     "ParseError", "QfciError", "SectorTooLarge", "WeightNormalization",
     "GuessState", "hf_determinant", "load_amplitude_guess", "open_shell_csf",
     "random_sector_state", "write_amplitude_guess",
     "FermionTerm", "FermionTerms", "PauliOperator", "PauliString", "SectorSpectrum",
     "apply_operator", "build_second_quantized",
-    "eigen_weights", "enumerate_sector", "exact_eigensolve", "jordan_wigner",
-    "sector_of", "spectra_for_state",
+    "eigen_weights", "enumerate_sector", "exact_eigensolve", "jordan_wigner", "sector_of",
     "MolecularIntegrals", "SpinOrbitalIntegrals", "parse_fcidump",
     "random_molecular_integrals", "to_spin_orbitals",
     "IpeaConfig", "OutcomeRecord", "PhaseBits", "bit_probability",
     "decode_energy", "feedback_angle", "ipea_a_run",
     "ipea_a_success_probability", "ipea_b_run", "ipea_b_success_probability",
-    "pea_distribution", "pea_kernel", "rounding_masses", "sample_b_outcomes",
+    "pea_distribution", "rounding_masses", "sample_b_outcomes",
     "EvolutionWindow", "TrotterPlan", "controlled_u_power_exact",
     "recommend_slices", "trotter_u", "u_power_exact",
-    "GateCounts", "count_controlled_u", "count_string_exponential", "count_u",
-    "fci_dimension", "fitted_exponent",
-    "Gate", "StateVector", "apply_gate", "from_amplitudes", "measure_qubit",
-    "new_register", "overlap", "probability_of",
+    "GateCounts", "count_controlled_u", "count_u", "fci_dimension", "fitted_exponent",
+    "Gate", "StateVector", "apply_gate", "from_amplitudes", "measure_qubit", "new_register",
     "__version__",
 ]

@@ -90,6 +90,13 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _integer(value, key: str) -> int:
+    """value if it is a JSON integer; TypeError naming key for a bool, float or other."""
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_scan_config(path: str | Path, overrides: dict | None = None) -> ScanConfig:
     """Read a JSON scan description; overrides replace ipea-level fields.
 
@@ -112,14 +119,14 @@ def load_scan_config(path: str | Path, overrides: dict | None = None) -> ScanCon
 def _parse_scan_config(raw, path: Path, overrides: dict) -> ScanConfig:
     base = path.parent
     ipea_raw = dict(_require(raw, "ipea", str(path)))
-    bits = int(overrides.get("bits", ipea_raw.get("bits", 20)))
+    bits = _integer(overrides.get("bits", ipea_raw.get("bits", 20)), "ipea.bits")
     variant = str(overrides.get("variant", ipea_raw.get("variant", "A")))
     e_max = float(overrides.get("e_max", _require(ipea_raw, "e_max", "ipea")))
     e_min = float(overrides.get("e_min", _require(ipea_raw, "e_min", "ipea")))
     seed = overrides.get("seed", ipea_raw.get("seed"))
-    seed = None if seed is None else int(seed)
+    seed = None if seed is None else _integer(seed, "ipea.seed")
     reps_list = tuple(
-        int(r) for r in overrides.get(
+        _integer(r, "repetition_counts") for r in overrides.get(
             "repetition_counts", raw.get("repetition_counts", [11, 31, 51, 101])
         )
     )
@@ -139,8 +146,8 @@ def _parse_scan_config(raw, path: Path, overrides: dict) -> ScanConfig:
         window=EvolutionWindow(e_max=e_max, e_min=e_min),
         m=bits,
         variant=variant,
-        repetitions_per_bit=int(ipea_raw.get("repetitions_per_bit", reps_list[0])),
-        rng_seed=seed,
+        repetitions_per_bit=_integer(ipea_raw.get("repetitions_per_bit", reps_list[0]),
+                                     "ipea.repetitions_per_bit"),
     )
 
     outputs = raw.get("outputs", {})
@@ -167,7 +174,7 @@ def _parse_scan_config(raw, path: Path, overrides: dict) -> ScanConfig:
             if not gpath.exists():
                 raise QfciError(f"{where}: no such file {gpath}")
             guess["path"] = str(gpath)
-        sector = tuple(int(x) for x in _require(entry, "sector", where))
+        sector = tuple(_integer(x, f"{where}.sector") for x in _require(entry, "sector", where))
         if len(sector) != 2:
             raise QfciError(f"{where}: sector must be [n_alpha, n_beta]")
         points.append(
@@ -176,7 +183,7 @@ def _parse_scan_config(raw, path: Path, overrides: dict) -> ScanConfig:
                 fcidump=fcidump,
                 guess=guess,
                 sector=sector,  # type: ignore[arg-type]
-                target=int(entry.get("target", 0)),
+                target=_integer(entry.get("target", 0), f"{where}.target"),
             )
         )
 

@@ -61,7 +61,3 @@ class MalformedLine(ParseError):
 
 class WeightNormalization(QfciError, ValueError):
     """Eigenstate weights do not sum to one."""
-
-
-class EmptyString(QfciError, ValueError):
-    """Identity Pauli string where a non-trivial one is required."""

@@ -60,16 +60,6 @@ class GuessState:
         sectors = {sector_of(m, n_orb) for m, _ in self.entries}
         return sectors.pop() if len(sectors) == 1 else None
 
-    @classmethod
-    def from_statevector(cls, sv: StateVector, label: str = "") -> "GuessState":
-        """Sparse entries from the nonzero amplitudes, bit-exact."""
-        idx = np.nonzero(sv.amplitudes)[0]
-        entries = tuple((int(i), complex(sv.amplitudes[i])) for i in idx)
-        n_orb = sv.n_qubits // 2
-        sectors = {sector_of(m, n_orb) for m, _ in entries}
-        return cls(sv.n_qubits, entries, label=label,
-                   multi_sector=len(sectors) > 1)
-
 
 def hf_determinant(n_orb: int, n_alpha: int, n_beta: int) -> GuessState:
     """Aufbau determinant: lowest n_alpha / n_beta spatial orbitals filled."""

@@ -135,15 +135,6 @@ class PauliOperator:
     def terms(self) -> _StringView:
         return _StringView(self)
 
-    def to_text(self) -> str:
-        """One line per string: coefficient then Pauli word (qubit 0 leftmost)."""
-        lines = []
-        for t in self.terms:
-            c = t.coefficient
-            coeff = f"{c.real:.12g}" if abs(c.imag) < 1e-12 else f"{c:.12g}"
-            lines.append(f"{coeff}  {t.word(self.n_qubits)}")
-        return "\n".join(lines)
-
 
 class FermionTerms(Sequence):
     """FermionTerm objects stored as runs of term arrays, built only when read.
@@ -511,15 +502,14 @@ def exact_eigensolve(
     terms: Sequence[FermionTerm],
     n_so: int,
     sector: tuple[int, int],
-    cap: int = SECTOR_CAP,
 ) -> SectorSpectrum:
     """Dense FCI diagonalization of one (n_alpha, n_beta) sector."""
     n_orb = n_so // 2
     n_alpha, n_beta = sector
     dim = comb(n_orb, n_alpha) * comb(n_orb, n_beta)
-    if dim > cap:
+    if dim > SECTOR_CAP:
         raise SectorTooLarge(
-            f"sector {sector} has dimension {dim} > cap {cap}; a dense solve "
+            f"sector {sector} has dimension {dim} > cap {SECTOR_CAP}; a dense solve "
             f"needs about {dim * dim * SOLVE_BYTES_PER_ELEMENT / 2**30:.1f} GiB"
         )
     dets = np.array(enumerate_sector(n_orb, n_alpha, n_beta), dtype=np.int64)
@@ -536,16 +526,6 @@ def exact_eigensolve(
 def _populated_sectors(amplitudes: np.ndarray, n_orb: int) -> set[tuple[int, int]]:
     """Particle-number sectors of every nonzero amplitude."""
     return {sector_of(int(i), n_orb) for i in np.flatnonzero(amplitudes)}
-
-
-def spectra_for_state(
-    terms: Sequence[FermionTerm],
-    n_so: int,
-    amplitudes: np.ndarray,
-) -> list[SectorSpectrum]:
-    """Eigensolve every particle-number sector the state populates."""
-    sectors = sorted(_populated_sectors(amplitudes, n_so // 2))
-    return [exact_eigensolve(terms, n_so, s) for s in sectors]
 
 
 def _require_disjoint(spectra: list[SectorSpectrum]) -> None:
@@ -600,6 +580,12 @@ def covered_coefficients(amplitudes: np.ndarray,
     return coefficients
 
 
+def squared_moduli(coefficients: list[np.ndarray]) -> list[float]:
+    """abs(c) ** 2 of every coefficient, blocks in order, as Python scalars:
+    numpy's array abs and square round differently in the last bit."""
+    return [abs(c) ** 2 for block in coefficients for c in block.tolist()]
+
+
 def eigen_weights(amplitudes: np.ndarray, spectra: list[SectorSpectrum]):
     """Decompose a register state over block eigenvectors.
 
@@ -608,6 +594,6 @@ def eigen_weights(amplitudes: np.ndarray, spectra: list[SectorSpectrum]):
     of eigen_coefficients.
     """
     coefficients, uncovered = eigen_coefficients(amplitudes, spectra)
-    weights = {(b, i): abs(c) ** 2 for b, block in enumerate(coefficients)
-               for i, c in enumerate(block.tolist())}
+    pairs = [(b, i) for b, block in enumerate(coefficients) for i in range(block.size)]
+    weights = dict(zip(pairs, squared_moduli(coefficients)))
     return weights, float(np.vdot(amplitudes, amplitudes).real) - uncovered

@@ -20,7 +20,8 @@ from .hamiltonian import (
     SECTOR_BYTE_BUDGET,
     SectorSpectrum,
     covered_coefficients,
-    eigen_weights,
+    eigen_coefficients,
+    squared_moduli,
 )
 from .propagator import EvolutionWindow, controlled_u_power_exact
 from .statevector import (
@@ -47,7 +48,6 @@ class IpeaConfig:
     m: int = 20
     variant: str = "A"
     repetitions_per_bit: int = 1  # variant B; must be odd
-    rng_seed: int | None = None
 
     def __post_init__(self):
         if not 1 <= self.m <= MAX_BITS:
@@ -143,11 +143,6 @@ def _kernel_grid(d, m: int):
     return k if k.ndim else float(k)
 
 
-def pea_kernel(delta_turns, m: int):
-    """Outcome kernel K_m as a function of phase distance in turns."""
-    return _kernel_grid(np.asarray(delta_turns, dtype=float) * (1 << m), m)
-
-
 def pea_distribution(weights: list[tuple[float, float]], m: int) -> np.ndarray:
     """Full m-bit outcome distribution of phase estimation.
 
@@ -207,9 +202,7 @@ def _decompose(amplitudes: np.ndarray, spectra: list[SectorSpectrum],
     One entry per (block, column) pair in that order; phases are in turns,
     fmod'ed into (-1, 1) keeping the sign of window.phase_of.
     """
-    coefficients = covered_coefficients(amplitudes, spectra)
-    # scalar abs(c) ** 2, as eigen_weights: numpy's array abs and square round otherwise
-    weights = np.array([abs(c) ** 2 for block in coefficients for c in block.tolist()])
+    weights = np.array(squared_moduli(covered_coefficients(amplitudes, spectra)))
     _require_normalized(weights)
     energies = np.concatenate([b.eigenvalues for b in spectra])
     return weights, np.fmod(window.phase_of(energies), 1.0), energies
@@ -247,16 +240,20 @@ def _reset_readout(joint: StateVector, last_bit: int) -> None:
 def _dominant_pair(system: np.ndarray, spectra) -> tuple[float, tuple[int, int]]:
     """(|<u|psi>|^2, (block, column)) of the eigenpair the state overlaps most;
     ties go to the first pair in (block, column) order."""
-    weights, _ = eigen_weights(system, spectra)
-    pair = max(weights, key=weights.get)  # the first of equal maxima
-    return weights[pair], pair
+    coefficients, _ = eigen_coefficients(system, spectra)
+    weights = squared_moduli(coefficients)
+    t = int(np.argmax(weights))  # the first of equal maxima
+    for block, c in enumerate(coefficients):
+        if t < c.size:
+            return weights[t], (block, t)
+        t -= c.size
 
 
 def ipea_a_run(
     guess,
     spectra: list[SectorSpectrum],
     cfg: IpeaConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     track_overlaps: bool = False,
 ) -> tuple[OutcomeRecord, StateVector]:
     """One sampled variant-A run; returns the record and the final
@@ -267,8 +264,6 @@ def ipea_a_run(
     the *initial* guess: the chance a fresh run decodes this eigenvalue
     rounded down/up.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.rng_seed)
     system = _as_statevector(guess)
     n_sys = system.n_qubits
     readout = n_sys  # readout rides on top of the system bits
@@ -397,7 +392,7 @@ def ipea_b_run(
     guess,
     spectra: list[SectorSpectrum],
     cfg: IpeaConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> OutcomeRecord:
     """Sampled variant-B run: fresh guess per repetition, majority vote.
 
@@ -405,8 +400,6 @@ def ipea_b_run(
     p_down/p_up describe the eigenpair nearest the decoded energy,
     weighted by its share of the guess.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.rng_seed)
     weights, phases, _ = _decompose(_as_statevector(guess).amplitudes, spectra, cfg.window)
     v, ones = _vote_runs(weights, phases, cfg, 1, rng)
     bits = PhaseBits.from_outcome(int(v[0]), cfg.m)

@@ -37,6 +37,8 @@ class EvolutionWindow:
     def __post_init__(self):
         if not self.e_max > self.e_min:
             raise ValueError(f"empty window [{self.e_min}, {self.e_max}]")
+        if not math.isfinite(self.width):
+            raise ValueError(f"window [{self.e_min}, {self.e_max}] has no finite width")
 
     @property
     def width(self) -> float:

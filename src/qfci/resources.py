@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyString
-from .hamiltonian import PauliOperator, PauliString
+from .hamiltonian import PauliOperator
 
 
 @dataclass(frozen=True)
@@ -77,13 +76,6 @@ def _slice_counts(op: PauliOperator, controlled: bool) -> GateCounts:
         rz=0 if controlled else n_strings,
         controlled_rz=n_strings if controlled else 0,
     )
-
-
-def count_string_exponential(s: PauliString, controlled: bool = False) -> GateCounts:
-    """Gate cost of one e^{i theta s} under the ladder template."""
-    if not s.factors:
-        raise EmptyString("cannot exponentiate the identity string as a circuit")
-    return _slice_counts(PauliOperator(1 + max(q for q, _ in s.factors), [s]), controlled)
 
 
 def count_controlled_u(op: PauliOperator) -> GateCounts:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, DegenerateState, DimensionMismatch, IndexOutOfRange
+from .errors import CapExceeded, DegenerateState, IndexOutOfRange
 
 DEFAULT_QUBIT_CAP = 24
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -53,78 +53,38 @@ def from_amplitudes(amps) -> StateVector:
 
 @dataclass(frozen=True)
 class Gate:
-    kind: str  # 'h' | 'x' | 'y' | 'z' | 'rz' | 'cphase'
+    kind: str  # 'h' | 'rz'
     turns: float = 0.0
 
     def matrix(self) -> np.ndarray:
         if self.kind == "h":
             return np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]],
                             dtype=np.complex128)
-        if self.kind == "x":
-            return np.array([[0, 1], [1, 0]], dtype=np.complex128)
-        if self.kind == "y":
-            return np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-        if self.kind == "z":
-            return np.array([[1, 0], [0, -1]], dtype=np.complex128)
-        if self.kind in ("rz", "cphase"):
+        if self.kind == "rz":
             return np.array([[1, 0], [0, np.exp(2j * np.pi * self.turns)]],
                             dtype=np.complex128)
         raise ValueError(f"unknown gate kind {self.kind!r}")
 
 
 HADAMARD = Gate("h")
-PAULI_X = Gate("x")
-PAULI_Y = Gate("y")
-PAULI_Z = Gate("z")
 
 
 def rz_phase(turns: float) -> Gate:
     return Gate("rz", turns)
 
 
-def controlled_phase(turns: float) -> Gate:
-    return Gate("cphase", turns)
+def _target_slices(state: StateVector, target: int):
+    """Views of the target-bit-0 / target-bit-1 amplitudes."""
+    if not 0 <= target < state.n_qubits:
+        raise IndexOutOfRange(f"qubit {target} outside register of {state.n_qubits}")
+    view = state.amplitudes.reshape(1 << (state.n_qubits - target - 1), 2, 1 << target)
+    return view[:, 0, :], view[:, 1, :]
 
 
-def _check_qubit(state: StateVector, qubit: int, role: str = "qubit") -> None:
-    if not 0 <= qubit < state.n_qubits:
-        raise IndexOutOfRange(f"{role} {qubit} outside register of {state.n_qubits}")
-
-
-def _target_slices(amps: np.ndarray, n: int, target: int, control: int | None):
-    """Views of the target-bit-0 / target-bit-1 amplitudes, restricted to
-    the control-bit-1 subspace when a control is given."""
-    if control is None:
-        view = amps.reshape(1 << (n - target - 1), 2, 1 << target)
-        return view[:, 0, :], view[:, 1, :]
-    hi, lo = max(control, target), min(control, target)
-    view = amps.reshape(
-        1 << (n - hi - 1), 2, 1 << (hi - lo - 1), 2, 1 << lo
-    )
-    if control > target:
-        return view[:, 1, :, 0, :], view[:, 1, :, 1, :]
-    return view[:, 0, :, 1, :], view[:, 1, :, 1, :]
-
-
-def apply_gate(state: StateVector, gate: Gate, target: int,
-               control: int | None = None) -> StateVector:
+def apply_gate(state: StateVector, gate: Gate, target: int) -> StateVector:
     """Apply gate in place; returns the same state for chaining."""
-    _check_qubit(state, target)
-    if control is not None:
-        _check_qubit(state, control, "control")
-        if control == target:
-            raise IndexOutOfRange("control equals target")
-    if gate.kind == "cphase":
-        if control is None:
-            raise IndexOutOfRange("controlled phase needs a control qubit")
-        _, s1 = _target_slices(state.amplitudes, state.n_qubits, target, control)
-        s1 *= np.exp(2j * np.pi * gate.turns)
-        return state
-
-    s0, s1 = _target_slices(state.amplitudes, state.n_qubits, target, control)
-    if gate.kind == "z":
-        s1 *= -1.0
-    elif gate.kind == "rz":
+    s0, s1 = _target_slices(state, target)
+    if gate.kind == "rz":
         s1 *= np.exp(2j * np.pi * gate.turns)
     else:
         m = gate.matrix()
@@ -134,18 +94,10 @@ def apply_gate(state: StateVector, gate: Gate, target: int,
     return state
 
 
-def probability_of(state: StateVector, qubit: int, bit: int) -> float:
-    _check_qubit(state, qubit)
-    s0, s1 = _target_slices(state.amplitudes, state.n_qubits, qubit, None)
-    chosen = s1 if bit else s0
-    return float(np.sum(np.abs(chosen) ** 2))
-
-
 def measure_qubit(state: StateVector, qubit: int,
                   rng: np.random.Generator) -> tuple[int, StateVector]:
     """Projective measurement; collapses and renormalizes in place."""
-    _check_qubit(state, qubit)
-    s0, s1 = _target_slices(state.amplitudes, state.n_qubits, qubit, None)
+    s0, s1 = _target_slices(state, qubit)
     p0 = float(np.sum(np.abs(s0) ** 2))
     p1 = float(np.sum(np.abs(s1) ** 2))
     if max(p0, p1) < 1e-15:
@@ -158,15 +110,3 @@ def measure_qubit(state: StateVector, qubit: int,
         s1[...] = 0.0
         s0 /= np.sqrt(p0)
     return outcome, state
-
-
-def overlap(a: StateVector, b: StateVector) -> complex:
-    """<a|b>."""
-    if a.n_qubits != b.n_qubits:
-        raise DimensionMismatch("overlap of registers with different sizes")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def dump_amplitudes(state: StateVector, path) -> None:
-    """Debug dump: interleaved little-endian float64 (re, im) pairs."""
-    state.amplitudes.astype("<c16").tofile(path)

@@ -32,6 +32,17 @@ MALFORMED_VALUES = [
     ((), 3),
 ]
 
+# (key path, JSON value that int() would truncate or accept, key the error names)
+NON_INTEGRAL_VALUES = [
+    (("ipea", "bits"), 8.9, "ipea.bits"),
+    (("ipea", "bits"), True, "ipea.bits"),
+    (("ipea", "seed"), 7.0, "ipea.seed"),
+    (("ipea", "repetitions_per_bit"), 3.0, "ipea.repetitions_per_bit"),
+    (("repetition_counts",), [11.7], "repetition_counts"),
+    (("points", 0, "sector"), [True, 1.99], "points[0].sector"),
+    (("points", 0, "target"), 0.9, "points[0].target"),
+]
+
 
 def write_config(tmp_path: Path, **changes) -> Path:
     cfg = {
@@ -56,6 +67,17 @@ def write_config(tmp_path: Path, **changes) -> Path:
     path = tmp_path / "scan_config.json"
     path.write_text(json.dumps(cfg, indent=1), encoding="utf-8")
     return path
+
+
+def replace_value(cfg_path: Path, where: tuple, value) -> None:
+    """Set the config value at key path where; () replaces the whole config."""
+    cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+    if where:
+        *parents, key = where
+        reduce(operator.getitem, parents, cfg)[key] = value
+    else:
+        cfg = value
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
 
 
 def read_rows(path: Path) -> list[dict]:
@@ -350,16 +372,30 @@ class TestRunCommand:
                                   for w, v in MALFORMED_VALUES])
     def test_wrongly_typed_value_exits_2(self, where, value, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
-        cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
-        if where:
-            *parents, key = where
-            reduce(operator.getitem, parents, cfg)[key] = value
-        else:
-            cfg = value
-        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        replace_value(cfg_path, where, value)
         assert main(["run", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+        assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.parametrize("where, value, key", NON_INTEGRAL_VALUES,
+                             ids=[f"{key}={json.dumps(v)}" for _, v, key in NON_INTEGRAL_VALUES])
+    def test_non_integer_value_exits_2(self, where, value, key, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        replace_value(cfg_path, where, value)
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be an integer" in err and "Traceback" not in err
+        assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.parametrize("e_max, e_min", [(1e308, -1e308), (float("inf"), -1.5)])
+    def test_window_without_finite_width_exits_2(self, e_max, e_min, tmp_path, capsys):
+        cfg_path = write_config(
+            tmp_path, ipea={"e_max": e_max, "e_min": e_min, "bits": 8, "seed": 7}
+        )
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "no finite width" in err and "Traceback" not in err
         assert not (tmp_path / "scan.csv").exists()
 
     def test_missing_fcidump_rejected(self, tmp_path, capsys):

@@ -1,9 +1,13 @@
-"""The package imports nothing outside the standard library and numpy."""
+"""The package imports nothing outside the standard library and numpy,
+and exports what its __all__ names."""
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import qfci
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "qfci").glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "qfci"}
@@ -25,3 +29,8 @@ def test_runtime_imports_are_stdlib_or_numpy(path):
 
 def test_sources_found():
     assert len(SOURCES) > 5
+
+
+def test_all_names_resolve_once():
+    assert [n for n, count in Counter(qfci.__all__).items() if count > 1] == []
+    assert [n for n in qfci.__all__ if not hasattr(qfci, n)] == []

@@ -25,21 +25,12 @@ from qfci.phase_estimation import (
     ipea_b_run,
     ipea_b_success_probability,
     pea_distribution,
-    pea_kernel,
     rounding_masses,
     sample_b_outcomes,
     state_decomposition,
 )
-from qfci.propagator import EvolutionWindow, u_power_exact
-from qfci.statevector import (
-    HADAMARD,
-    StateVector,
-    apply_gate,
-    controlled_phase,
-    new_register,
-    probability_of,
-    rz_phase,
-)
+from qfci.propagator import EvolutionWindow, controlled_u_power_exact, u_power_exact
+from qfci.statevector import HADAMARD, StateVector, apply_gate, new_register, rz_phase
 
 from tests.oracles import b_success_by_dict, ipea_b_run_gate_level
 
@@ -134,18 +125,18 @@ class TestBitProbability:
         assert bit_probability(1.0 / 3.0, 2, 0.0) == pytest.approx(0.75, abs=1e-12)
 
     def test_matches_two_qubit_circuit(self):
-        # readout on qubit 1, system qubit 0 eigenstate |1> of a pure
-        # phase unitary diag(1, e^{2 pi i phi})
+        # readout on qubit 2 above diagonal_system's register, whose
+        # alpha-occupied eigenstate has phase phi in a (0, 1] window
         for phi, k, omega in [(1 / 3, 2, 0.0), (0.37, 3, -0.125), (0.81, 1, 0.2)]:
-            sv = new_register(2)
-            sv.amplitudes[:] = [0, 1, 0, 0]  # qubit 0 = |1>
-            apply_gate(sv, HADAMARD, 1)
-            apply_gate(sv, controlled_phase(2 ** (k - 1) * phi), 0, control=1)
-            apply_gate(sv, rz_phase(omega), 1)
-            apply_gate(sv, HADAMARD, 1)
-            assert probability_of(sv, 1, 1) == pytest.approx(
-                bit_probability(phi, k, omega), abs=1e-12
-            )
+            sv, spectra, window = diagonal_system(1.0 - phi, 1.0, 0.0)
+            joint = new_register(3)
+            joint.amplitudes[:4] = sv.amplitudes
+            apply_gate(joint, HADAMARD, 2)
+            controlled_u_power_exact(joint, spectra, window, 2 ** (k - 1), 2)
+            apply_gate(joint, rz_phase(omega), 2)
+            apply_gate(joint, HADAMARD, 2)
+            p_one = np.vdot(joint.amplitudes[4:], joint.amplitudes[4:]).real
+            assert p_one == pytest.approx(bit_probability(phi, k, omega), abs=1e-12)
 
 
 class TestPeaDistribution:
@@ -193,11 +184,11 @@ class TestPeaDistribution:
                 pea_distribution([(1.0, 0.25)], m)
 
     def test_kernel_endpoints(self):
-        assert pea_kernel(0.0, 8) == pytest.approx(1.0)
-        # half-grid distance gives the 4/pi^2 shoulder as m grows
-        assert pea_kernel(0.5 / 2**20, 20) == pytest.approx(
-            4 / np.pi**2, rel=1e-5
-        )
+        assert rounding_masses(3 / 2**8, 8) == (3, pytest.approx(1.0), pytest.approx(0.0))
+        # half-grid distance gives the 4/pi^2 shoulder on both sides as m grows
+        _, down, up = rounding_masses(0.5 / 2**20, 20)
+        assert down == pytest.approx(4 / np.pi**2, rel=1e-5)
+        assert up == pytest.approx(4 / np.pi**2, rel=1e-5)
 
     def test_wraparound_mass(self):
         # phase just below 1 rounds down to the top outcome and up to 0
@@ -215,8 +206,8 @@ class TestIpeaVariantA:
     def test_exact_eigenstate_deterministic(self):
         sv, spectra, window = diagonal_system(0.25, 1.0, 0.0)
         # phi = (1 - 0.25)/1 = 0.75 = 0.11 binary
-        cfg = IpeaConfig(window=window, m=2, rng_seed=0)
-        record, final = ipea_a_run(sv, spectra, cfg)
+        cfg = IpeaConfig(window=window, m=2)
+        record, final = ipea_a_run(sv, spectra, cfg, np.random.default_rng(0))
         assert record.bits.bits == (1, 1)
         assert record.energy == pytest.approx(0.25)
         assert record.p_down == pytest.approx(1.0, abs=1e-12)
@@ -225,11 +216,23 @@ class TestIpeaVariantA:
         ov = np.vdot(final.amplitudes, sv.amplitudes)
         assert abs(ov) == pytest.approx(1.0, abs=1e-12)
 
+    def test_record_describes_the_eigenpair_collapsed_onto(self, h2_all_spectra, window):
+        # an excited eigenvector of a later block stays itself, so the record
+        # carries that eigenpair's whole rounding masses
+        block = [s.sector for s in h2_all_spectra].index((1, 1))
+        spec = h2_all_spectra[block]
+        sv = StateVector(4, spec.embed(2, 4))
+        rec, final = ipea_a_run(sv, h2_all_spectra, IpeaConfig(window=window, m=8),
+                                np.random.default_rng(0))
+        _, down, up = rounding_masses(window.phase_of(float(spec.eigenvalues[2])), 8)
+        assert (rec.p_down, rec.p_up) == (pytest.approx(down), pytest.approx(up))
+        assert abs(np.vdot(final.amplitudes, sv.amplitudes)) == pytest.approx(1.0)
+
     def test_sampled_frequency_matches_analytic(
         self, h2_hf_state, h2_spectrum_11, window
     ):
         m = 6  # small m keeps 1e3 runs cheap while exercising feedback
-        cfg = IpeaConfig(window=window, m=m, rng_seed=None)
+        cfg = IpeaConfig(window=window, m=m)
         p_down, p_up = ipea_a_success_probability(
             h2_hf_state, [h2_spectrum_11], cfg, (0, 0)
         )
@@ -304,7 +307,8 @@ class TestIpeaVariantA:
         sv = StateVector(4, np.zeros(16, complex))
         sv.amplitudes[0b0001] = 1.0
         with pytest.raises(MissingSector):
-            ipea_a_run(sv, [h2_spectrum_11], IpeaConfig(window=window, m=2))
+            ipea_a_run(sv, [h2_spectrum_11], IpeaConfig(window=window, m=2),
+                       np.random.default_rng(0))
 
 
 class TestIpeaASuccessProbability:
@@ -344,9 +348,8 @@ class TestIpeaASuccessProbability:
 class TestIpeaVariantB:
     def test_exact_eigenstate_single_repetition(self):
         sv, spectra, window = diagonal_system(0.25, 1.0, 0.0)
-        cfg = IpeaConfig(window=window, m=2, variant="B", repetitions_per_bit=1,
-                         rng_seed=5)
-        rec = ipea_b_run(sv, spectra, cfg)
+        cfg = IpeaConfig(window=window, m=2, variant="B", repetitions_per_bit=1)
+        rec = ipea_b_run(sv, spectra, cfg, np.random.default_rng(5))
         assert rec.bits.bits == (1, 1)
         assert rec.per_bit_stats == ((1, 1), (1, 1))
 
@@ -569,7 +572,8 @@ class TestIpeaVariantB:
         with pytest.raises(WeightNormalization):
             sample_b_outcomes([(0.5, 0.1)], cfg, 10, np.random.default_rng(0))
         with pytest.raises(WeightNormalization):
-            ipea_b_run(0.5 * h2_hf_state.amplitudes, [h2_spectrum_11], cfg)
+            ipea_b_run(0.5 * h2_hf_state.amplitudes, [h2_spectrum_11], cfg,
+                       np.random.default_rng(0))
 
     @pytest.mark.parametrize("success_probability", [ipea_a_success_probability,
                                                      ipea_b_success_probability])
@@ -592,15 +596,17 @@ SMALL_REGISTER_CALLS = {
         amps, spectra, cfg, (0, 0)),
     "ipea_b_success_probability": lambda amps, spectra, cfg: ipea_b_success_probability(
         amps, spectra, cfg, (0, 0)),
-    "ipea_a_run": lambda amps, spectra, cfg: ipea_a_run(amps, spectra, cfg),
-    "ipea_b_run": lambda amps, spectra, cfg: ipea_b_run(amps, spectra, cfg),
+    "ipea_a_run": lambda amps, spectra, cfg: ipea_a_run(
+        amps, spectra, cfg, np.random.default_rng(0)),
+    "ipea_b_run": lambda amps, spectra, cfg: ipea_b_run(
+        amps, spectra, cfg, np.random.default_rng(0)),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(SMALL_REGISTER_CALLS))
 def test_register_smaller_than_spectra_rejected(entry, h2_spectrum_11, window):
     # the (1,1) determinants index up to 0b1010 in a 4-amplitude register
-    cfg = IpeaConfig(window=window, m=4, variant="B", repetitions_per_bit=3, rng_seed=0)
+    cfg = IpeaConfig(window=window, m=4, variant="B", repetitions_per_bit=3)
     amps = np.array([1, 0, 0, 0], complex)
     with pytest.raises(DimensionMismatch, match="exceed"):
         SMALL_REGISTER_CALLS[entry](amps, [h2_spectrum_11], cfg)

@@ -65,6 +65,12 @@ class TestEvolutionWindow:
         with pytest.raises(ValueError):
             EvolutionWindow(e_max=-1.0, e_min=1.0)
 
+    @pytest.mark.parametrize("e_max, e_min", [(1e308, -1e308), (np.inf, -1.5),
+                                              (1.0, -np.inf), (np.inf, -np.inf)])
+    def test_width_must_be_finite(self, e_max, e_min):
+        with pytest.raises(ValueError, match="no finite width"):
+            EvolutionWindow(e_max=e_max, e_min=e_min)
+
 
 class TestExactPropagator:
     def test_spectral_phases(self, h2_terms, h2_full_spectra, window):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from qfci.errors import EmptyString
 from qfci.hamiltonian import (
     PauliOperator,
     PauliString,
@@ -14,7 +13,6 @@ from qfci.integrals import to_spin_orbitals
 from qfci.resources import (
     GateCounts,
     count_controlled_u,
-    count_string_exponential,
     count_u,
     fci_dimension,
     fitted_exponent,
@@ -23,6 +21,11 @@ from qfci.resources import (
 
 def string(*factors) -> PauliString:
     return PauliString(1.0, tuple(factors))
+
+
+def one_string(*factors) -> PauliOperator:
+    """The one-string operator on the qubits up to the highest factor."""
+    return PauliOperator(1 + max(q for q, _ in factors), [string(*factors)])
 
 
 class TestGateCounts:
@@ -45,35 +48,30 @@ class TestGateCounts:
 
 class TestStringExponential:
     def test_single_z_controlled(self):
-        counts = count_string_exponential(string((0, "Z")), controlled=True)
+        counts = count_controlled_u(one_string((0, "Z")))
         assert counts == GateCounts(controlled_rz=1)
 
     def test_single_z_uncontrolled(self):
-        counts = count_string_exponential(string((0, "Z")))
+        counts = count_u(one_string((0, "Z")))
         assert counts == GateCounts(rz=1)
 
     def test_mixed_three_qubit_string(self):
         # X0 Y1 Z2: two H for the X, two R_x for the Y, a 2(3-1) CNOT
         # ladder, one R_z on the parity end
-        counts = count_string_exponential(string((0, "X"), (1, "Y"), (2, "Z")))
+        counts = count_u(one_string((0, "X"), (1, "Y"), (2, "Z")))
         assert counts == GateCounts(hadamard=2, cnot=4, rx=2, rz=1)
 
     def test_all_z_ladder_scaling(self):
         for w in (1, 2, 5, 9):
-            s = string(*((q, "Z") for q in range(w)))
-            counts = count_string_exponential(s)
+            counts = count_u(one_string(*((q, "Z") for q in range(w))))
             assert counts.cnot == 2 * (w - 1)
             assert counts.rz == 1
             assert counts.hadamard == counts.rx == 0
 
-    def test_identity_rejected(self):
-        with pytest.raises(EmptyString):
-            count_string_exponential(string())
-
     def test_controlled_reclassifies_only_the_rotation(self):
-        s = string((0, "X"), (1, "Y"), (3, "Z"), (5, "X"))
-        plain = count_string_exponential(s)
-        ctrl = count_string_exponential(s, controlled=True)
+        op = one_string((0, "X"), (1, "Y"), (3, "Z"), (5, "X"))
+        plain = count_u(op)
+        ctrl = count_controlled_u(op)
         assert ctrl.hadamard == plain.hadamard
         assert ctrl.cnot == plain.cnot
         assert ctrl.rx == plain.rx
@@ -84,10 +82,10 @@ class TestStringExponential:
 
 class TestOperatorCounts:
     def test_single_string_operator(self):
-        s = string((0, "X"), (2, "X"))
-        op = PauliOperator(3, [s])
-        assert count_controlled_u(op) == count_string_exponential(s, controlled=True)
-        assert count_u(op) == count_string_exponential(s)
+        # X0 X2: two H per X and a 2(2-1) CNOT ladder around one rotation
+        op = PauliOperator(3, [string((0, "X"), (2, "X"))])
+        assert count_controlled_u(op) == GateCounts(hadamard=4, cnot=2, controlled_rz=1)
+        assert count_u(op) == GateCounts(hadamard=4, cnot=2, rz=1)
 
     def test_identity_strings_cost_nothing(self):
         op = PauliOperator(2, [PauliString(0.5, ()), string((0, "Z"))])
