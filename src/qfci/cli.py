@@ -97,6 +97,22 @@ def _integer(value, key: str) -> int:
     return value
 
 
+def _number(value, key: str) -> float:
+    """value as a float if it is a JSON number; TypeError naming key for a bool, string or other."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _resolve(base: Path, value, where: str | None = None) -> Path:
+    """value as a path, a relative one against base; given where, QfciError
+    naming it unless the file exists."""
+    path = base / Path(value)
+    if where is not None and not path.exists():
+        raise QfciError(f"{where}: no such file {path}")
+    return path
+
+
 def load_scan_config(path: str | Path, overrides: dict | None = None) -> ScanConfig:
     """Read a JSON scan description; overrides replace ipea-level fields.
 
@@ -112,7 +128,7 @@ def load_scan_config(path: str | Path, overrides: dict | None = None) -> ScanCon
             raise QfciError(f"{path}: malformed JSON: {exc}") from exc
     try:
         return _parse_scan_config(raw, path, overrides or {})
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise QfciError(f"{path}: {exc}") from exc
 
 
@@ -121,8 +137,8 @@ def _parse_scan_config(raw, path: Path, overrides: dict) -> ScanConfig:
     ipea_raw = dict(_require(raw, "ipea", str(path)))
     bits = _integer(overrides.get("bits", ipea_raw.get("bits", 20)), "ipea.bits")
     variant = str(overrides.get("variant", ipea_raw.get("variant", "A")))
-    e_max = float(overrides.get("e_max", _require(ipea_raw, "e_max", "ipea")))
-    e_min = float(overrides.get("e_min", _require(ipea_raw, "e_min", "ipea")))
+    e_max = _number(overrides.get("e_max", _require(ipea_raw, "e_max", "ipea")), "ipea.e_max")
+    e_min = _number(overrides.get("e_min", _require(ipea_raw, "e_min", "ipea")), "ipea.e_min")
     seed = overrides.get("seed", ipea_raw.get("seed"))
     seed = None if seed is None else _integer(seed, "ipea.seed")
     reps_list = tuple(
@@ -151,29 +167,17 @@ def _parse_scan_config(raw, path: Path, overrides: dict) -> ScanConfig:
     )
 
     outputs = raw.get("outputs", {})
-    csv_path = Path(overrides.get("csv", outputs.get("csv", "scan.csv")))
-    json_path = Path(overrides.get("json", outputs.get("json", "scan.json")))
-    if not csv_path.is_absolute():
-        csv_path = base / csv_path
-    if not json_path.is_absolute():
-        json_path = base / json_path
+    csv_path = _resolve(base, overrides.get("csv", outputs.get("csv", "scan.csv")))
+    json_path = _resolve(base, overrides.get("json", outputs.get("json", "scan.json")))
 
     points = []
     for i, entry in enumerate(raw.get("points", [])):
         where = f"points[{i}]"
-        fcidump = Path(_require(entry, "fcidump", where))
-        if not fcidump.is_absolute():
-            fcidump = base / fcidump
-        if not fcidump.exists():
-            raise QfciError(f"{where}: no such file {fcidump}")
+        fcidump = _resolve(base, _require(entry, "fcidump", where), where)
         guess = dict(_require(entry, "guess", where))
         if guess.get("kind") == "amplitudes":
-            gpath = Path(_require(guess, "path", f"{where}.guess"))
-            if not gpath.is_absolute():
-                gpath = base / gpath
-            if not gpath.exists():
-                raise QfciError(f"{where}: no such file {gpath}")
-            guess["path"] = str(gpath)
+            guess["path"] = str(_resolve(base, _require(guess, "path", f"{where}.guess"), where))
+            guess["threshold"] = _number(guess.get("threshold", 0.0), f"{where}.guess.threshold")
         sector = tuple(_integer(x, f"{where}.sector") for x in _require(entry, "sector", where))
         if len(sector) != 2:
             raise QfciError(f"{where}: sector must be [n_alpha, n_beta]")
@@ -209,9 +213,7 @@ def _build_guess(desc: dict, mol, sector, rng) -> GuessState:
             coupling=desc.get("coupling", "singlet"),
         )
     if kind == "amplitudes":
-        return load_amplitude_guess(
-            _require(desc, "path", "guess"), threshold=float(desc.get("threshold", 0.0))
-        )
+        return load_amplitude_guess(desc["path"], threshold=desc["threshold"])
     if kind == "random":
         return random_sector_state(mol.n_orb, sector, rng)
     raise QfciError(f"unknown guess kind {kind!r}")
@@ -361,6 +363,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write_report(report: dict, csv_path: Path, json_path: Path, header, rows) -> None:
+    """Write the CSV table (header, then rows) and the report as indented,
+    key-sorted JSON with a trailing newline, creating parent directories."""
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    json_path.parent.mkdir(parents=True, exist_ok=True)
+    with open(json_path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def run_scan(cfg: ScanConfig, search_runs: int = 0) -> dict:
     """Evaluate all points, write CSV + JSON sidecar, return the report."""
     seeds = np.random.SeedSequence(cfg.master_seed).spawn(max(1, len(cfg.points)))
@@ -387,16 +403,16 @@ def run_scan(cfg: ScanConfig, search_runs: int = 0) -> dict:
     if search_runs > 0:
         report["search_caveat"] = SEARCH_CAVEAT
 
-    fieldnames = [
+    # every row repeats the run settings; an error row leaves its result cells empty
+    settings = {"variant": cfg.ipea.variant, "bits": cfg.ipea.m,
+                "e_max": cfg.ipea.window.e_max, "e_min": cfg.ipea.window.e_min}
+    header = [
         "label",
         "fcidump",
         "n_alpha",
         "n_beta",
         "target",
-        "variant",
-        "bits",
-        "e_max",
-        "e_min",
+        *settings,
         "fci_energy",
         "overlap_sq",
         "overlap_scaled",
@@ -407,29 +423,12 @@ def run_scan(cfg: ScanConfig, search_runs: int = 0) -> dict:
         "sampled_energy",
         "error",
     ]
-    cfg.csv_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(cfg.csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
-        writer.writeheader()
-        for row in points:
-            flat = {
-                k: _fmt(v)
-                for k, v in row.items()
-                if k in fieldnames and v is not None
-            }
-            flat["variant"] = cfg.ipea.variant
-            flat["bits"] = str(cfg.ipea.m)
-            flat["e_max"] = _fmt(cfg.ipea.window.e_max)
-            flat["e_min"] = _fmt(cfg.ipea.window.e_min)
-            for r in cfg.repetition_counts:
-                if row.get("status") == "ok":
-                    flat[f"b_success_r{r}"] = _fmt(row["b_success"][str(r)])
-            writer.writerow(flat)
-
-    cfg.json_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(cfg.json_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    rows = []
+    for point in points:
+        cells = {**point, **settings,
+                 **{f"b_success_r{r}": p for r, p in point.get("b_success", {}).items()}}
+        rows.append([_fmt(cells[k]) if k in cells else "" for k in header])
+    _write_report(report, cfg.csv_path, cfg.json_path, header, rows)
     return report
 
 
@@ -470,24 +469,11 @@ def emit_scaling_report(
             [r["counts"]["total"] for r in rows],
         )
 
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["n_basis", "fci_dim", "hadamard", "cnot", "rx", "rz",
-             "controlled_rz", "gate_total"]
-        )
-        for r in rows:
-            c = r["counts"]
-            writer.writerow(
-                [r["n_basis"], r["fci_dim"], c["hadamard"], c["cnot"],
-                 c["rx"], c["rz"], c["controlled_rz"], c["total"]]
-            )
-
-    json_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    gates = ("hadamard", "cnot", "rx", "rz", "controlled_rz", "total")
+    _write_report(report, csv_path, json_path,
+                  ["n_basis", "fci_dim", *gates[:-1], "gate_total"],
+                  [[r["n_basis"], r["fci_dim"], *(r["counts"][g] for g in gates)]
+                   for r in rows])
     return report
 
 

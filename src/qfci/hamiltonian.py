@@ -56,10 +56,6 @@ class PauliString:
     coefficient: complex
     factors: tuple[tuple[int, str], ...]  # sorted (qubit, 'X'|'Y'|'Z')
 
-    @property
-    def weight(self) -> int:
-        return len(self.factors)
-
     def word(self, n_qubits: int) -> str:
         letters = ["I"] * n_qubits
         for q, p in self.factors:

@@ -93,14 +93,8 @@ class PhaseBits:
 class OutcomeRecord:
     bits: PhaseBits
     energy: float
-    p_down: float
-    p_up: float
     per_bit_stats: tuple[tuple[int, int], ...] | None = None  # (ones, reps), msb first
     overlap_trace: tuple[float, ...] | None = None
-
-    @property
-    def p_tot(self) -> float:
-        return self.p_down + self.p_up
 
 
 def feedback_angle(later_bits) -> float:
@@ -237,16 +231,9 @@ def _reset_readout(joint: StateVector, last_bit: int) -> None:
         joint.amplitudes[half:] = 0.0
 
 
-def _dominant_pair(system: np.ndarray, spectra) -> tuple[float, tuple[int, int]]:
-    """(|<u|psi>|^2, (block, column)) of the eigenpair the state overlaps most;
-    ties go to the first pair in (block, column) order."""
-    coefficients, _ = eigen_coefficients(system, spectra)
-    weights = squared_moduli(coefficients)
-    t = int(np.argmax(weights))  # the first of equal maxima
-    for block, c in enumerate(coefficients):
-        if t < c.size:
-            return weights[t], (block, t)
-        t -= c.size
+def _largest_weight(system: np.ndarray, spectra) -> float:
+    """|<u|psi>|^2 of the eigenpair the state overlaps most."""
+    return max(squared_moduli(eigen_coefficients(system, spectra)[0]))
 
 
 def ipea_a_run(
@@ -257,17 +244,13 @@ def ipea_a_run(
     track_overlaps: bool = False,
 ) -> tuple[OutcomeRecord, StateVector]:
     """One sampled variant-A run; returns the record and the final
-    (collapsed) system state.
-
-    The record's p_down/p_up are the analytic masses of the eigenstate
-    the register collapsed onto, weighted by that eigenstate's share of
-    the *initial* guess: the chance a fresh run decodes this eigenvalue
-    rounded down/up.
+    (collapsed) system state.  A guess the spectra do not cover raises
+    MissingSector before any gate.
     """
     system = _as_statevector(guess)
     n_sys = system.n_qubits
     readout = n_sys  # readout rides on top of the system bits
-    initial = covered_coefficients(system.amplitudes, spectra)
+    covered_coefficients(system.amplitudes, spectra)
 
     joint = new_register(n_sys + 1)
     joint.amplitudes[: 1 << n_sys] = system.amplitudes
@@ -284,22 +267,13 @@ def ipea_a_run(
         last_bit, _ = measure_qubit(joint, readout, rng)
         later.insert(0, last_bit)
         if track_overlaps:
-            trace.append(_dominant_pair(_system_branch(joint, last_bit), spectra)[0])
+            trace.append(_largest_weight(_system_branch(joint, last_bit), spectra))
 
     final = StateVector(n_sys, _system_branch(joint, last_bit).copy())
     bits = PhaseBits(tuple(later))
-    energy = decode_energy(bits, cfg.window)
-
-    _, (block, col) = _dominant_pair(final.amplitudes, spectra)
-    w0 = abs(initial[block][col]) ** 2
-    _, down, up = rounding_masses(
-        cfg.window.phase_of(float(spectra[block].eigenvalues[col])), cfg.m
-    )
     record = OutcomeRecord(
         bits=bits,
-        energy=energy,
-        p_down=float(w0 * down),
-        p_up=float(w0 * up),
+        energy=decode_energy(bits, cfg.window),
         overlap_trace=tuple(trace) if track_overlaps else None,
     )
     return record, final
@@ -396,21 +370,14 @@ def ipea_b_run(
 ) -> OutcomeRecord:
     """Sampled variant-B run: fresh guess per repetition, majority vote.
 
-    Sampled from the guess's eigen-mixture by _vote_runs.  The record's
-    p_down/p_up describe the eigenpair nearest the decoded energy,
-    weighted by its share of the guess.
+    Sampled from the guess's eigen-mixture by _vote_runs.
     """
     weights, phases, _ = _decompose(_as_statevector(guess).amplitudes, spectra, cfg.window)
     v, ones = _vote_runs(weights, phases, cfg, 1, rng)
     bits = PhaseBits.from_outcome(int(v[0]), cfg.m)
-    energy = decode_energy(bits, cfg.window)
-    near = int(np.argmin(np.abs(np.mod(phases - bits.value + 0.5, 1.0) - 0.5)))
-    _, down, up = rounding_masses(phases[near], cfg.m)
     return OutcomeRecord(
         bits=bits,
-        energy=energy,
-        p_down=float(weights[near] * down),
-        p_up=float(weights[near] * up),
+        energy=decode_energy(bits, cfg.window),
         per_bit_stats=tuple((int(n), cfg.repetitions_per_bit) for n in ones[:, 0]),
     )
 

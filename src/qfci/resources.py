@@ -27,26 +27,6 @@ class GateCounts:
     def total(self) -> int:
         return self.hadamard + self.cnot + self.rx + self.rz + self.controlled_rz
 
-    def __add__(self, other: "GateCounts") -> "GateCounts":
-        return GateCounts(
-            self.hadamard + other.hadamard,
-            self.cnot + other.cnot,
-            self.rx + other.rx,
-            self.rz + other.rz,
-            self.controlled_rz + other.controlled_rz,
-        )
-
-    def __mul__(self, factor: int) -> "GateCounts":
-        return GateCounts(
-            self.hadamard * factor,
-            self.cnot * factor,
-            self.rx * factor,
-            self.rz * factor,
-            self.controlled_rz * factor,
-        )
-
-    __rmul__ = __mul__
-
     def as_dict(self) -> dict[str, int]:
         return {
             "hadamard": self.hadamard,

@@ -43,6 +43,16 @@ NON_INTEGRAL_VALUES = [
     (("points", 0, "target"), 0.9, "points[0].target"),
 ]
 
+# (key path, JSON value that float() would accept, key the error names); the
+# threshold cases replace the guess with an amplitudes guess whose file exists
+NON_NUMBER_VALUES = [
+    (("ipea", "e_max"), True, "ipea.e_max"),
+    (("ipea", "e_min"), "-1.5", "ipea.e_min"),
+    (("ipea", "e_min"), None, "ipea.e_min"),
+    (("points", 0, "guess", "threshold"), "0.1", "points[0].guess.threshold"),
+    (("points", 0, "guess", "threshold"), False, "points[0].guess.threshold"),
+]
+
 
 def write_config(tmp_path: Path, **changes) -> Path:
     cfg = {
@@ -388,6 +398,26 @@ class TestRunCommand:
         assert f"{key} must be an integer" in err and "Traceback" not in err
         assert not (tmp_path / "scan.csv").exists()
 
+    @pytest.mark.parametrize("where, value, key", NON_NUMBER_VALUES,
+                             ids=[f"{key}={json.dumps(v)}" for _, v, key in NON_NUMBER_VALUES])
+    def test_non_number_value_exits_2(self, where, value, key, tmp_path, capsys):
+        (tmp_path / "guess.amp").write_text("1.0 1010\n", encoding="utf-8")
+        cfg_path = write_config(tmp_path)
+        replace_value(cfg_path, ("points", 0, "guess"), {"kind": "amplitudes", "path": "guess.amp"})
+        replace_value(cfg_path, where, value)
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{key} must be a number" in err
+        assert not (tmp_path / "scan.csv").exists()
+
+    def test_window_bound_beyond_float_range_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        replace_value(cfg_path, ("ipea", "e_max"), 10**400)
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "scan.csv").exists()
+
     @pytest.mark.parametrize("e_max, e_min", [(1e308, -1e308), (float("inf"), -1.5)])
     def test_window_without_finite_width_exits_2(self, e_max, e_min, tmp_path, capsys):
         cfg_path = write_config(
@@ -419,6 +449,8 @@ class TestRunCommand:
         shutil.copy(
             FIXTURES / "h2_sto3g_r1.4011.fcidump", tmp_path / "local.fcidump"
         )
+        (tmp_path / "guesses").mkdir()
+        (tmp_path / "guesses" / "hf.amp").write_text("1.0 1010\n", encoding="utf-8")
         cfg_path = write_config(
             tmp_path,
             points=[
@@ -427,12 +459,25 @@ class TestRunCommand:
                     "fcidump": "local.fcidump",
                     "guess": {"kind": "hf"},
                     "sector": [1, 1],
-                }
+                },
+                {
+                    "label": "h2_file",
+                    "fcidump": "local.fcidump",
+                    "guess": {"kind": "amplitudes", "path": "guesses/hf.amp"},
+                    "sector": [1, 1],
+                },
             ],
+            outputs={"csv": "scan.csv", "json": "reports/scan.json"},
         )
         cfg = load_scan_config(cfg_path)
         assert cfg.points[0].fcidump == tmp_path / "local.fcidump"
+        assert cfg.points[1].guess["path"] == str(tmp_path / "guesses" / "hf.amp")
         assert cfg.csv_path == tmp_path / "scan.csv"
+        assert cfg.json_path == tmp_path / "reports" / "scan.json"
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        rows = read_rows(tmp_path / "scan.csv")
+        assert [r["fci_energy"] for r in rows] == [rows[0]["fci_energy"]] * 2
+        assert (tmp_path / "reports" / "scan.json").exists()
 
 
 class TestScalingCommand:

@@ -29,18 +29,6 @@ def one_string(*factors) -> PauliOperator:
 
 
 class TestGateCounts:
-    def test_additivity(self):
-        a = GateCounts(hadamard=2, cnot=4, rz=1)
-        b = GateCounts(rx=2, cnot=2, controlled_rz=1)
-        c = a + b
-        assert c == GateCounts(hadamard=2, cnot=6, rx=2, rz=1, controlled_rz=1)
-        assert c.total == 12
-
-    def test_scalar_multiple(self):
-        a = GateCounts(hadamard=1, cnot=2, rz=1)
-        assert 3 * a == GateCounts(hadamard=3, cnot=6, rz=3)
-        assert a * 3 == 3 * a
-
     def test_as_dict_includes_total(self):
         d = GateCounts(rz=1).as_dict()
         assert d["total"] == 1 and d["rz"] == 1
