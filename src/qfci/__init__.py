@@ -76,7 +76,6 @@ from .resources import (
     fitted_exponent,
 )
 from .statevector import (
-    Gate,
     StateVector,
     apply_gate,
     from_amplitudes,
@@ -105,6 +104,6 @@ __all__ = [
     "EvolutionWindow", "TrotterPlan", "controlled_u_power_exact",
     "recommend_slices", "trotter_u", "u_power_exact",
     "GateCounts", "count_controlled_u", "count_u", "fci_dimension", "fitted_exponent",
-    "Gate", "StateVector", "apply_gate", "from_amplitudes", "measure_qubit", "new_register",
+    "StateVector", "apply_gate", "from_amplitudes", "measure_qubit", "new_register",
     "__version__",
 ]

@@ -29,7 +29,6 @@ from .guess import (
     random_sector_state,
 )
 from .hamiltonian import (
-    _populated_sectors,
     build_second_quantized,
     exact_eigensolve,
     jordan_wigner,
@@ -226,18 +225,14 @@ class _LastHamiltonian:
     replaces them, so at most one Hamiltonian is held.
     """
 
-    def __init__(self):
-        self._release()
-
-    def _release(self):
-        self.path = self.mol = self.soi = self.terms = None
-        self.spectra: dict = {}
+    path = None
 
     def load(self, path: Path):
         """(molecule, spin-orbital integrals) of the file at path."""
         if path != self.path:
             # drop the previous Hamiltonian before building the next one
-            self._release()
+            self.path = self.mol = self.soi = self.terms = None
+            self.spectra: dict = {}
             self.mol = parse_fcidump(path)
             self.soi = to_spin_orbitals(self.mol)
             self.terms = build_second_quantized(self.soi)
@@ -288,13 +283,13 @@ def _evaluate_point(
                 f"differs from sector {na}+{nb}"
             )
         guess = _build_guess(point.guess, mol, point.sector, rng)
-        sv = guess.to_statevector()
-        if sv.n_qubits != soi.n_so:
+        if guess.n_qubits != soi.n_so:
             raise QfciError(
-                f"guess spans {sv.n_qubits} qubits but system has {soi.n_so}"
+                f"guess spans {guess.n_qubits} qubits but system has {soi.n_so}"
             )
+        sv = guess.to_statevector()
 
-        sectors = sorted(_populated_sectors(sv.amplitudes, mol.n_orb) | {point.sector})
+        sectors = sorted(guess.sectors | {point.sector})
         spectra = [hamiltonian.spectrum(s) for s in sectors]
         block = sectors.index(point.sector)
         target = (block, point.target)

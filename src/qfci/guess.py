@@ -14,7 +14,7 @@ from .errors import (
     OverlapWithCore,
 )
 from .hamiltonian import enumerate_sector, sector_of
-from .statevector import StateVector
+from .statevector import StateVector, new_register
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -23,8 +23,9 @@ _SQRT_HALF = 1.0 / np.sqrt(2.0)
 class GuessState:
     """Sparse register state: (determinant bitmask, amplitude) entries.
 
-    Entries are normalized, exact zeros dropped; a guess spans one
-    particle-number sector unless multi_sector is set (amplitude files may mix sectors).
+    Entries are normalized, exact zeros dropped; sectors is the set of
+    (n_alpha, n_beta) sectors they populate, one unless multi_sector is set
+    (amplitude files may mix sectors).
     """
 
     n_qubits: int
@@ -37,28 +38,19 @@ class GuessState:
         norm2 = sum(abs(a) ** 2 for _, a in self.entries)
         if abs(norm2 - 1.0) > 1e-12:
             raise ValueError(f"guess {self.label!r} has norm^2 {norm2}")
-        if not self.multi_sector:
-            n_orb = self.n_qubits // 2
-            sectors = {sector_of(m, n_orb) for m, _ in self.entries}
-            if len(sectors) > 1:
-                raise ValueError(
-                    f"guess {self.label!r} mixes sectors {sorted(sectors)}; "
-                    "set multi_sector to allow"
-                )
+        self.sectors = {sector_of(m, self.n_qubits // 2) for m, _ in self.entries}
+        if len(self.sectors) > 1 and not self.multi_sector:
+            raise ValueError(
+                f"guess {self.label!r} mixes sectors {sorted(self.sectors)}; "
+                "set multi_sector to allow"
+            )
 
     def to_statevector(self) -> StateVector:
-        from .statevector import new_register
-
         sv = new_register(self.n_qubits)
         sv.amplitudes[0] = 0.0
         for mask, amp in self.entries:
             sv.amplitudes[mask] = amp
         return sv
-
-    def sector(self) -> tuple[int, int] | None:
-        n_orb = self.n_qubits // 2
-        sectors = {sector_of(m, n_orb) for m, _ in self.entries}
-        return sectors.pop() if len(sectors) == 1 else None
 
 
 def hf_determinant(n_orb: int, n_alpha: int, n_beta: int) -> GuessState:
@@ -117,7 +109,7 @@ def load_amplitude_guess(path: str | Path, threshold: float = 0.0) -> GuessState
 
     The bitstring's leftmost character is qubit 0.  '#' starts a comment.
     Only entries with |amplitude| > threshold are kept; the survivors are
-    renormalized.  Mixed-sector files yield a multi_sector guess.
+    renormalized.  The file may mix sectors (multi_sector).
     """
     path = Path(path)
     entries: list[tuple[int, complex]] = []
@@ -155,14 +147,7 @@ def load_amplitude_guess(path: str | Path, threshold: float = 0.0) -> GuessState
         )
     norm = np.sqrt(sum(abs(a) ** 2 for _, a in entries))
     entries = [(m, a / norm) for m, a in entries]
-    n_orb = n_qubits // 2
-    sectors = {sector_of(m, n_orb) for m, _ in entries}
-    return GuessState(
-        n_qubits,
-        tuple(entries),
-        label=path.stem,
-        multi_sector=len(sectors) > 1,
-    )
+    return GuessState(n_qubits, tuple(entries), label=path.stem, multi_sector=True)
 
 
 def write_amplitude_guess(path: str | Path, guess: GuessState) -> None:

@@ -519,11 +519,6 @@ def exact_eigensolve(
     )
 
 
-def _populated_sectors(amplitudes: np.ndarray, n_orb: int) -> set[tuple[int, int]]:
-    """Particle-number sectors of every nonzero amplitude."""
-    return {sector_of(int(i), n_orb) for i in np.flatnonzero(amplitudes)}
-
-
 def _require_disjoint(spectra: list[SectorSpectrum]) -> None:
     """DimensionMismatch if two blocks share a determinant.
 

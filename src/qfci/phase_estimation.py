@@ -224,18 +224,6 @@ def state_decomposition(
 # -- variant A ------------------------------------------------------------
 
 
-def _reset_readout(joint: StateVector, last_bit: int) -> None:
-    half = joint.amplitudes.size // 2
-    if last_bit:
-        joint.amplitudes[:half] = joint.amplitudes[half:]
-        joint.amplitudes[half:] = 0.0
-
-
-def _largest_weight(system: np.ndarray, spectra) -> float:
-    """|<u|psi>|^2 of the eigenpair the state overlaps most."""
-    return max(squared_moduli(eigen_coefficients(system, spectra)[0]))
-
-
 def ipea_a_run(
     guess,
     spectra: list[SectorSpectrum],
@@ -253,23 +241,25 @@ def ipea_a_run(
     covered_coefficients(system.amplitudes, spectra)
 
     joint = new_register(n_sys + 1)
-    joint.amplitudes[: 1 << n_sys] = system.amplitudes
+    halves = joint.amplitudes.reshape(2, -1)  # system amplitudes by readout bit
+    halves[0] = system.amplitudes
 
     later: list[int] = []
     trace: list[float] = []
-    last_bit = 0
     for k in range(cfg.m, 0, -1):
-        _reset_readout(joint, last_bit)
         apply_gate(joint, HADAMARD, readout)
         controlled_u_power_exact(joint, spectra, cfg.window, 1 << (k - 1), readout)
         apply_gate(joint, rz_phase(feedback_angle(later)), readout)
         apply_gate(joint, HADAMARD, readout)
-        last_bit, _ = measure_qubit(joint, readout, rng)
-        later.insert(0, last_bit)
-        if track_overlaps:
-            trace.append(_largest_weight(_system_branch(joint, last_bit), spectra))
+        bit, _ = measure_qubit(joint, readout, rng)
+        later.insert(0, bit)
+        if track_overlaps:  # the largest |<u|psi>|^2 of the collapsed system
+            trace.append(max(squared_moduli(eigen_coefficients(halves[bit], spectra)[0])))
+        if bit:  # reset the readout to |0>
+            halves[0] = halves[1]
+            halves[1] = 0.0
 
-    final = StateVector(n_sys, _system_branch(joint, last_bit).copy())
+    final = StateVector(n_sys, halves[0].copy())
     bits = PhaseBits(tuple(later))
     record = OutcomeRecord(
         bits=bits,
@@ -277,11 +267,6 @@ def ipea_a_run(
         overlap_trace=tuple(trace) if track_overlaps else None,
     )
     return record, final
-
-
-def _system_branch(joint: StateVector, bit: int) -> np.ndarray:
-    half = joint.amplitudes.size // 2
-    return joint.amplitudes[half:] if bit else joint.amplitudes[:half]
 
 
 def ipea_a_success_probability(
@@ -416,19 +401,11 @@ def _level_probabilities(weights: np.ndarray, phases: np.ndarray, m: int,
 
 def _path_product(one: np.ndarray, reps: int, outcomes: np.ndarray) -> np.ndarray:
     """Each outcome's path mass at reps repetitions from _level_probabilities'
-    array.  A tail rounded a few ulp past 1 leaves its complement at 0."""
+    array: an outcome has one history, so its mass is the product of its bits'
+    majority probabilities.  A tail rounded a few ulp past 1 leaves its complement at 0."""
     q1 = _majority_tail(reps, one)
     factor = np.where((outcomes >> np.arange(one.shape[0])[:, None]) & 1, q1, 1.0 - q1)
     return np.multiply.reduce(np.maximum(factor, 0.0), axis=0)
-
-
-def _path_masses(weights: np.ndarray, phases: np.ndarray, m: int, reps: int,
-                 outcomes: np.ndarray) -> np.ndarray:
-    """Probability of voting each outcome at m bits and reps repetitions.
-
-    Each level votes a new bit, so an outcome has one history: its mass is
-    the product, in level order, of the majority probability of its bit."""
-    return _path_product(_level_probabilities(weights, phases, m, outcomes), reps, outcomes)
 
 
 def ipea_b_success_probability(
@@ -442,7 +419,7 @@ def ipea_b_success_probability(
     """Exact variant-B success probability of a normalised guess.
 
     Success means voting the target phase rounded down or up (modular):
-    the two outcomes' path masses (_path_masses), summed and clipped at 1.
+    the two outcomes' path masses (_path_product), summed and clipped at 1.
     Given odd repetition_counts, returns one probability per count, in
     order, from one decomposition and one set of level probabilities;
     omitted, the float for cfg.repetitions_per_bit.

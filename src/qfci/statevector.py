@@ -2,7 +2,7 @@
 
 Qubit j is bit j of the basis index (qubit 0 is the least significant
 bit).  All rotation angles are in turns, i.e. fractions of 2*pi:
-RzPhase(w) = diag(1, exp(2*pi*i*w)).
+rz_phase(w) = diag(1, exp(2*pi*i*w)).
 """
 from __future__ import annotations
 
@@ -51,26 +51,12 @@ def from_amplitudes(amps) -> StateVector:
 
 # -- gates --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Gate:
-    kind: str  # 'h' | 'rz'
-    turns: float = 0.0
-
-    def matrix(self) -> np.ndarray:
-        if self.kind == "h":
-            return np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]],
-                            dtype=np.complex128)
-        if self.kind == "rz":
-            return np.array([[1, 0], [0, np.exp(2j * np.pi * self.turns)]],
-                            dtype=np.complex128)
-        raise ValueError(f"unknown gate kind {self.kind!r}")
+HADAMARD = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]],
+                    dtype=np.complex128)
 
 
-HADAMARD = Gate("h")
-
-
-def rz_phase(turns: float) -> Gate:
-    return Gate("rz", turns)
+def rz_phase(turns: float) -> np.ndarray:
+    return np.array([[1, 0], [0, np.exp(2j * np.pi * turns)]], dtype=np.complex128)
 
 
 def _target_slices(state: StateVector, target: int):
@@ -81,16 +67,21 @@ def _target_slices(state: StateVector, target: int):
     return view[:, 0, :], view[:, 1, :]
 
 
-def apply_gate(state: StateVector, gate: Gate, target: int) -> StateVector:
-    """Apply gate in place; returns the same state for chaining."""
+def apply_gate(state: StateVector, gate: np.ndarray, target: int) -> StateVector:
+    """Apply a 2x2 gate matrix in place; returns the same state for chaining.
+
+    A diagonal matrix scales each half; any other mixes them.
+    """
+    if np.shape(gate) != (2, 2):
+        raise ValueError(f"a gate is a 2x2 matrix, got shape {np.shape(gate)}")
     s0, s1 = _target_slices(state, target)
-    if gate.kind == "rz":
-        s1 *= np.exp(2j * np.pi * gate.turns)
+    if gate[0, 1] == 0 and gate[1, 0] == 0:
+        s0 *= gate[0, 0]
+        s1 *= gate[1, 1]
     else:
-        m = gate.matrix()
         a0 = s0.copy()
-        s0[...] = m[0, 0] * a0 + m[0, 1] * s1
-        s1[...] = m[1, 0] * a0 + m[1, 1] * s1
+        s0[...] = gate[0, 0] * a0 + gate[0, 1] * s1
+        s1[...] = gate[1, 0] * a0 + gate[1, 1] * s1
     return state
 
 

@@ -49,7 +49,7 @@ class TestGuessState:
         with pytest.raises(ValueError):
             GuessState(4, entries)
         ok = GuessState(4, entries, multi_sector=True)
-        assert ok.sector() is None
+        assert ok.sectors == {(1, 0), (2, 0)}
 
     def test_statevector_round_trip_bit_exact(self):
         g = open_shell_csf(3, core=(0,), open_pair=(1, 2), coupling="triplet")

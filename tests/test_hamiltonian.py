@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import qfci.hamiltonian as hamiltonian
 from qfci.errors import DimensionMismatch, SectorTooLarge
+from qfci.guess import GuessState
 from qfci.hamiltonian import (
     CHUNK_ELEMENTS,
     JW_CHUNK_ELEMENTS,
@@ -636,13 +637,12 @@ class TestSectorBuildHandMadeTerms:
 
 
 class TestSpectraHelpers:
-    def test_populated_sectors_cover_support(self):
-        psi = np.zeros(16, complex)
-        psi[0b0001] = 1.0 / np.sqrt(2)  # sector (1,0)
-        psi[0b0101] = 1.0 / np.sqrt(2)  # sector (1,1)
-        assert hamiltonian._populated_sectors(psi, 2) == {(1, 0), (1, 1)}
-        psi[0b1000] = 1e-16  # sector (0,1): every nonzero amplitude counts, as in a scan
-        assert hamiltonian._populated_sectors(psi, 2) == {(0, 1), (1, 0), (1, 1)}
+    def test_guess_sectors_cover_support(self):
+        entries = [(0b0001, 1.0 / np.sqrt(2)), (0b0101, 1.0 / np.sqrt(2))]  # (1,0), (1,1)
+        assert GuessState(4, tuple(entries), multi_sector=True).sectors == {(1, 0), (1, 1)}
+        entries.append((0b1000, 1e-16))  # sector (0,1): every nonzero amplitude counts, as in a scan
+        assert GuessState(4, tuple(entries), multi_sector=True).sectors == {
+            (0, 1), (1, 0), (1, 1)}
 
     def test_eigen_weights_sum(self, h2_terms, h2_hf_state, h2_spectrum_11):
         weights, covered = eigen_weights(h2_hf_state.amplitudes, [h2_spectrum_11])

@@ -279,14 +279,14 @@ class TestIpeaVariantA:
         # register collapsed to, bit for bit: squaring numpy's array abs
         # differs in the last bit for about a third of the coefficients
         branches = []
-        system_branch = phase_estimation._system_branch
+        measure = phase_estimation.measure_qubit
 
-        def recording(joint, bit):
-            branch = system_branch(joint, bit)
-            branches.append(branch.copy())
-            return branch
+        def recording(joint, qubit, rng):
+            bit, state = measure(joint, qubit, rng)
+            branches.append(joint.amplitudes.reshape(2, -1)[bit].copy())
+            return bit, state
 
-        monkeypatch.setattr(phase_estimation, "_system_branch", recording)
+        monkeypatch.setattr(phase_estimation, "measure_qubit", recording)
         guess = random_sector_state(2, (1, 1), np.random.default_rng(5)).to_statevector()
         cfg = IpeaConfig(window=window, m=12)
         rec, _ = ipea_a_run(guess, [h2_spectrum_11], cfg, np.random.default_rng(5),
@@ -490,7 +490,9 @@ class TestIpeaVariantB:
         assert 0.0 <= p <= 1.0
         assert abs(p - p_ref) <= 1e-14
         w, ph = np.array(weights).T
-        masses = phase_estimation._path_masses(w, ph, m, reps, np.arange(1 << m))
+        outcomes = np.arange(1 << m)
+        masses = phase_estimation._path_product(
+            phase_estimation._level_probabilities(w, ph, m, outcomes), reps, outcomes)
         assert abs(masses.sum() - 1.0) <= 1e-12
 
     @settings(max_examples=60, deadline=None)

@@ -59,9 +59,12 @@ class TestGates:
         assert np.allclose(sv.amplitudes, amps, atol=1e-14)
 
     def test_gate_matrices_unitary(self):
-        for g in (HADAMARD, rz_phase(0.3), rz_phase(-0.7)):
-            m = g.matrix()
+        for m in (HADAMARD, rz_phase(0.3), rz_phase(-0.7)):
             assert np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=1e-14)
+
+    def test_non_2x2_gate_rejected(self):
+        with pytest.raises(ValueError, match="2x2"):
+            apply_gate(new_register(2), np.eye(3, dtype=complex), 0)
 
     def test_x_flips(self):
         # H Rz(1/2) H = X, on qubit 1 only
