@@ -96,6 +96,21 @@ def _integer(value, key: str) -> int:
     return value
 
 
+def _count(value, key: str) -> int:
+    """value if it is a non-negative JSON integer; QfciError naming key for a negative one."""
+    if _integer(value, key) < 0:
+        raise QfciError(f"{key} must be non-negative, got {value!r}")
+    return value
+
+
+def _integers(value, key: str, count: int | None = None) -> tuple[int, ...]:
+    """value as a tuple if it is a JSON list of integers, of count of them given count."""
+    if type(value) is not list or count not in (None, len(value)):
+        what = "integers" if count is None else f"{count} integers"
+        raise TypeError(f"{key} must be a list of {what}, got {value!r}")
+    return tuple(_integer(v, key) for v in value)
+
+
 def _number(value, key: str) -> float:
     """value as a float if it is a JSON number; TypeError naming key for a bool, string or other."""
     if type(value) not in (int, float):
@@ -139,7 +154,7 @@ def _parse_scan_config(raw, path: Path, overrides: dict) -> ScanConfig:
     e_max = _number(overrides.get("e_max", _require(ipea_raw, "e_max", "ipea")), "ipea.e_max")
     e_min = _number(overrides.get("e_min", _require(ipea_raw, "e_min", "ipea")), "ipea.e_min")
     seed = overrides.get("seed", ipea_raw.get("seed"))
-    seed = None if seed is None else _integer(seed, "ipea.seed")
+    seed = None if seed is None else _count(seed, "ipea.seed")
     reps_list = tuple(
         _integer(r, "repetition_counts") for r in overrides.get(
             "repetition_counts", raw.get("repetition_counts", [11, 31, 51, 101])
@@ -174,19 +189,27 @@ def _parse_scan_config(raw, path: Path, overrides: dict) -> ScanConfig:
         where = f"points[{i}]"
         fcidump = _resolve(base, _require(entry, "fcidump", where), where)
         guess = dict(_require(entry, "guess", where))
-        if guess.get("kind") == "amplitudes":
+        kind = guess.setdefault("kind", "hf")
+        if kind not in ("hf", "csf", "amplitudes", "random"):
+            raise QfciError(f"{where}.guess.kind must be hf, csf, amplitudes or random, "
+                            f"got {kind!r}")
+        if kind == "amplitudes":
             guess["path"] = str(_resolve(base, _require(guess, "path", f"{where}.guess"), where))
             guess["threshold"] = _number(guess.get("threshold", 0.0), f"{where}.guess.threshold")
-        sector = tuple(_integer(x, f"{where}.sector") for x in _require(entry, "sector", where))
-        if len(sector) != 2:
-            raise QfciError(f"{where}: sector must be [n_alpha, n_beta]")
+        if kind == "csf":
+            guess["core"] = _integers(guess.get("core", []), f"{where}.guess.core")
+            guess["open_pair"] = _integers(_require(guess, "open_pair", f"{where}.guess"),
+                                           f"{where}.guess.open_pair", 2)
+            if guess.setdefault("coupling", "singlet") not in ("singlet", "triplet"):
+                raise QfciError(f"{where}.guess.coupling must be singlet or triplet, "
+                                f"got {guess['coupling']!r}")
         points.append(
             ScanPoint(
                 label=str(entry.get("label", f"point{i}")),
                 fcidump=fcidump,
                 guess=guess,
-                sector=sector,  # type: ignore[arg-type]
-                target=_integer(entry.get("target", 0), f"{where}.target"),
+                sector=_integers(_require(entry, "sector", where), f"{where}.sector", 2),
+                target=_count(entry.get("target", 0), f"{where}.target"),
             )
         )
 
@@ -201,21 +224,15 @@ def _parse_scan_config(raw, path: Path, overrides: dict) -> ScanConfig:
 
 
 def _build_guess(desc: dict, mol, sector, rng) -> GuessState:
-    kind = desc.get("kind", "hf")
+    """The guess a parsed description (_parse_scan_config) names."""
+    kind = desc["kind"]
     if kind == "hf":
         return hf_determinant(mol.n_orb, sector[0], sector[1])
     if kind == "csf":
-        return open_shell_csf(
-            mol.n_orb,
-            core=tuple(desc.get("core", ())),
-            open_pair=tuple(_require(desc, "open_pair", "guess")),
-            coupling=desc.get("coupling", "singlet"),
-        )
+        return open_shell_csf(mol.n_orb, desc["core"], desc["open_pair"], desc["coupling"])
     if kind == "amplitudes":
         return load_amplitude_guess(desc["path"], threshold=desc["threshold"])
-    if kind == "random":
-        return random_sector_state(mol.n_orb, sector, rng)
-    raise QfciError(f"unknown guess kind {kind!r}")
+    return random_sector_state(mol.n_orb, sector, rng)
 
 
 class _LastHamiltonian:
@@ -374,6 +391,7 @@ def _write_report(report: dict, csv_path: Path, json_path: Path, header, rows) -
 
 def run_scan(cfg: ScanConfig, search_runs: int = 0) -> dict:
     """Evaluate all points, write CSV + JSON sidecar, return the report."""
+    _count(search_runs, "search_runs")
     seeds = np.random.SeedSequence(cfg.master_seed).spawn(max(1, len(cfg.points)))
     hamiltonian = _LastHamiltonian()
     outcomes = [
@@ -434,10 +452,13 @@ def emit_scaling_report(
     json_path: Path,
 ) -> dict:
     """Gate counts and FCI dimension vs spin-orbital count on random tensors."""
+    _count(seed, "seed")
     rows = []
-    for n_so in sizes:
+    for i, n_so in enumerate(sizes):
         if n_so < 2 or n_so % 2:
             raise QfciError(f"sizes must be even spin-orbital counts, got {n_so}")
+        if n_so in sizes[:i]:
+            raise QfciError(f"size {n_so} is repeated")
         n_orb = n_so // 2
         rng = np.random.default_rng(np.random.SeedSequence((seed, n_so)))
         mol = random_molecular_integrals(n_orb, rng)
