@@ -53,9 +53,9 @@ NON_NUMBER_VALUES = [
     (("points", 0, "guess", "threshold"), False, "points[0].guess.threshold"),
 ]
 
-# (key path, value, key the error names): guess and target values that need no
-# FCIDUMP to be found wrong, which used to become error rows with exit code 0
-BAD_GUESS_VALUES = [
+# (key path, value, key the error names): values that need no FCIDUMP to be
+# found wrong, which used to become error rows with exit code 0 or tracebacks
+BAD_VALUES = [
     (("points", 0, "guess"), {"kind": "csf", "open_pair": [0, 1.5]}, "points[0].guess.open_pair"),
     (("points", 0, "guess"), {"kind": "csf", "open_pair": [0, 1], "core": [True]},
      "points[0].guess.core"),
@@ -63,6 +63,7 @@ BAD_GUESS_VALUES = [
      "points[0].guess.coupling"),
     (("points", 0, "guess"), {"kind": "nope"}, "points[0].guess.kind"),
     (("points", 0, "target"), -1, "points[0].target"),
+    (("ipea", "seed"), -1, "ipea.seed"),
 ]
 
 
@@ -422,9 +423,9 @@ class TestRunCommand:
         assert err.count("\n") == 1 and f"{key} must be a number" in err
         assert not (tmp_path / "scan.csv").exists()
 
-    @pytest.mark.parametrize("where, value, key", BAD_GUESS_VALUES,
-                             ids=[f"{key}={json.dumps(v)}" for _, v, key in BAD_GUESS_VALUES])
-    def test_bad_guess_value_exits_2(self, where, value, key, tmp_path, capsys):
+    @pytest.mark.parametrize("where, value, key", BAD_VALUES,
+                             ids=[f"{key}={json.dumps(v)}" for _, v, key in BAD_VALUES])
+    def test_bad_value_exits_2(self, where, value, key, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
         replace_value(cfg_path, where, value)
         assert main(["run", "--config", str(cfg_path)]) == 2
@@ -432,24 +433,13 @@ class TestRunCommand:
         assert err.count("\n") == 1 and err.startswith("error:") and key in err
         assert not (tmp_path / "scan.csv").exists()
 
-    @pytest.mark.parametrize("source", ["option", "config"])
-    def test_negative_seed_exits_2(self, source, tmp_path, capsys):
+    @pytest.mark.parametrize("option, key", [("--seed", "ipea.seed"),
+                                             ("--search-runs", "search_runs")])
+    def test_negative_option_exits_2(self, option, key, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
-        argv = ["run", "--config", str(cfg_path)]
-        if source == "option":
-            argv += ["--seed", "-1"]
-        else:
-            replace_value(cfg_path, ("ipea", "seed"), -1)
-        assert main(argv) == 2
+        assert main(["run", "--config", str(cfg_path), option, "-1"]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "ipea.seed must be non-negative" in err
-        assert not (tmp_path / "scan.csv").exists()
-
-    def test_negative_search_runs_exits_2(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path)
-        assert main(["run", "--config", str(cfg_path), "--search-runs", "-5"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "search_runs must be non-negative" in err
+        assert err.count("\n") == 1 and f"{key} must be non-negative" in err
         assert not (tmp_path / "scan.csv").exists()
 
     def test_window_bound_beyond_float_range_exits_2(self, tmp_path, capsys):
