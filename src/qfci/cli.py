@@ -104,11 +104,12 @@ def _count(value, key: str) -> int:
 
 
 def _integers(value, key: str, count: int | None = None) -> tuple[int, ...]:
-    """value as a tuple if it is a JSON list of integers, of count of them given count."""
+    """value as a tuple if it is a JSON list of non-negative integers, of count
+    of them given count."""
     if type(value) is not list or count not in (None, len(value)):
         what = "integers" if count is None else f"{count} integers"
         raise TypeError(f"{key} must be a list of {what}, got {value!r}")
-    return tuple(_integer(v, key) for v in value)
+    return tuple(_count(v, key) for v in value)
 
 
 def _number(value, key: str) -> float:

@@ -63,6 +63,7 @@ BAD_VALUES = [
      "points[0].guess.coupling"),
     (("points", 0, "guess"), {"kind": "nope"}, "points[0].guess.kind"),
     (("points", 0, "target"), -1, "points[0].target"),
+    (("points", 0, "sector"), [-1, 1], "points[0].sector"),
     (("ipea", "seed"), -1, "ipea.seed"),
 ]
 
