@@ -53,6 +53,7 @@ def from_amplitudes(amps) -> StateVector:
 
 HADAMARD = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]],
                     dtype=np.complex128)
+HADAMARD.flags.writeable = False  # shared by every caller
 
 
 def rz_phase(turns: float) -> np.ndarray:
@@ -72,11 +73,12 @@ def apply_gate(state: StateVector, gate: np.ndarray, target: int) -> StateVector
 
     A diagonal matrix scales each half; any other mixes them.
     """
-    if np.shape(gate) != (2, 2):
-        raise ValueError(f"a gate is a 2x2 matrix, got shape {np.shape(gate)}")
+    if gate.shape != (2, 2):
+        raise ValueError(f"a gate is a 2x2 matrix, got shape {gate.shape}")
     s0, s1 = _target_slices(state, target)
     if gate[0, 1] == 0 and gate[1, 0] == 0:
-        s0 *= gate[0, 0]
+        if gate[0, 0] != 1:  # rz_phase leaves the 0 half as it is
+            s0 *= gate[0, 0]
         s1 *= gate[1, 1]
     else:
         a0 = s0.copy()
