@@ -32,7 +32,6 @@ from .hamiltonian import (
     SectorSpectrum,
     apply_operator,
     build_second_quantized,
-    eigen_weights,
     enumerate_sector,
     exact_eigensolve,
     jordan_wigner,
@@ -50,8 +49,6 @@ from .phase_estimation import (
     OutcomeRecord,
     PhaseBits,
     bit_probability,
-    decode_energy,
-    feedback_angle,
     ipea_a_run,
     ipea_a_success_probability,
     ipea_b_run,
@@ -78,7 +75,6 @@ from .resources import (
 from .statevector import (
     StateVector,
     apply_gate,
-    from_amplitudes,
     measure_qubit,
     new_register,
 )
@@ -94,16 +90,15 @@ __all__ = [
     "random_sector_state", "write_amplitude_guess",
     "FermionTerm", "FermionTerms", "PauliOperator", "PauliString", "SectorSpectrum",
     "apply_operator", "build_second_quantized",
-    "eigen_weights", "enumerate_sector", "exact_eigensolve", "jordan_wigner", "sector_of",
+    "enumerate_sector", "exact_eigensolve", "jordan_wigner", "sector_of",
     "MolecularIntegrals", "SpinOrbitalIntegrals", "parse_fcidump",
     "random_molecular_integrals", "to_spin_orbitals",
-    "IpeaConfig", "OutcomeRecord", "PhaseBits", "bit_probability",
-    "decode_energy", "feedback_angle", "ipea_a_run",
+    "IpeaConfig", "OutcomeRecord", "PhaseBits", "bit_probability", "ipea_a_run",
     "ipea_a_success_probability", "ipea_b_run", "ipea_b_success_probability",
     "pea_distribution", "rounding_masses", "sample_b_outcomes",
     "EvolutionWindow", "TrotterPlan", "controlled_u_power_exact",
     "recommend_slices", "trotter_u", "u_power_exact",
     "GateCounts", "count_controlled_u", "count_u", "fci_dimension", "fitted_exponent",
-    "StateVector", "apply_gate", "from_amplitudes", "measure_qubit", "new_register",
+    "StateVector", "apply_gate", "measure_qubit", "new_register",
     "__version__",
 ]

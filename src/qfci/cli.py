@@ -121,9 +121,9 @@ def _number(value, key: str) -> float:
 
 def _resolve(base: Path, value, where: str | None = None) -> Path:
     """value as a path, a relative one against base; given where, QfciError
-    naming it unless the file exists."""
+    naming it unless that is a file."""
     path = base / Path(value)
-    if where is not None and not path.exists():
+    if where is not None and not path.is_file():
         raise QfciError(f"{where}: no such file {path}")
     return path
 
@@ -201,6 +201,8 @@ def _parse_scan_config(raw, path: Path, overrides: dict) -> ScanConfig:
             guess["core"] = _integers(guess.get("core", []), f"{where}.guess.core")
             guess["open_pair"] = _integers(_require(guess, "open_pair", f"{where}.guess"),
                                            f"{where}.guess.open_pair", 2)
+            if guess["open_pair"][0] == guess["open_pair"][1]:
+                raise QfciError(f"{where}.guess.open_pair must name two different orbitals")
             if guess.setdefault("coupling", "singlet") not in ("singlet", "triplet"):
                 raise QfciError(f"{where}.guess.coupling must be singlet or triplet, "
                                 f"got {guess['coupling']!r}")
@@ -316,8 +318,8 @@ def _evaluate_point(
         if outside:
             warnings.append(outside)
 
+        overlap_sq = float(weights[_pair_index(spectra, target)])  # KeyError past the sector
         fci_energy = float(spectra[block].eigenvalues[point.target])
-        overlap_sq = float(weights[_pair_index(spectra, target)])
 
         p_down, p_up = ipea_a_success_probability(sv, spectra, cfg, target)
         b_success = ipea_b_success_probability(
@@ -559,7 +561,7 @@ def main(argv=None) -> int:
             if "fitted_exponent" in report:
                 print(f"fitted exponent: {report['fitted_exponent']:.3f}")
             print(f"scaling: {len(report['points'])} sizes -> {args.csv}")
-    except QfciError as exc:
+    except (QfciError, OSError) as exc:  # OSError: a config or output path unusable
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

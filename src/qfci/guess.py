@@ -36,7 +36,7 @@ class GuessState:
     def __post_init__(self):
         self.entries = tuple((m, a) for m, a in self.entries if a != 0)
         norm2 = sum(abs(a) ** 2 for _, a in self.entries)
-        if abs(norm2 - 1.0) > 1e-12:
+        if not abs(norm2 - 1.0) <= 1e-12:  # a NaN norm fails too
             raise ValueError(f"guess {self.label!r} has norm^2 {norm2}")
         self.sectors = {sector_of(m, self.n_qubits // 2) for m, _ in self.entries}
         if len(self.sectors) > 1 and not self.multi_sector:
@@ -125,6 +125,8 @@ def load_amplitude_guess(path: str | Path, threshold: float = 0.0) -> GuessState
             amp = complex(parts[0])
         except ValueError:
             raise MalformedLine(f"unreadable amplitude {parts[0]!r}", line_no)
+        if not np.isfinite(amp):
+            raise MalformedLine("non-finite amplitude", line_no)
         bits = parts[1]
         if set(bits) - {"0", "1"}:
             raise MalformedLine(f"bitstring {bits!r} has non-binary characters", line_no)

@@ -14,7 +14,7 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingSector, SectorTooLarge
+from .errors import DimensionMismatch, ElectronCountExceedsOrbitals, MissingSector, SectorTooLarge
 from .integrals import SpinOrbitalIntegrals
 
 # Pauli strings below this magnitude are dropped during mapping
@@ -395,6 +395,9 @@ def sector_of(mask: int, n_orb: int) -> tuple[int, int]:
 
 def enumerate_sector(n_orb: int, n_alpha: int, n_beta: int) -> list[int]:
     """All determinant bitmasks of the (n_alpha, n_beta) sector, ascending."""
+    if max(n_alpha, n_beta) > n_orb:
+        raise ElectronCountExceedsOrbitals(
+            f"({n_alpha},{n_beta}) electrons into {n_orb} spatial orbitals")
     alphas = [sum(1 << p for p in occ) for occ in combinations(range(n_orb), n_alpha)]
     betas = [sum(1 << (n_orb + p) for p in occ)
              for occ in combinations(range(n_orb), n_beta)]
@@ -575,16 +578,3 @@ def squared_moduli(coefficients: list[np.ndarray]) -> list[float]:
     """abs(c) ** 2 of every coefficient, blocks in order, as Python scalars:
     numpy's array abs and square round differently in the last bit."""
     return [abs(c) ** 2 for block in coefficients for c in block.tolist()]
-
-
-def eigen_weights(amplitudes: np.ndarray, spectra: list[SectorSpectrum]):
-    """Decompose a register state over block eigenvectors.
-
-    Returns (weights, covered) where weights[(block, column)] = |<u|psi>|^2
-    and covered is the total probability accounted for.  Errors are those
-    of eigen_coefficients.
-    """
-    coefficients, uncovered = eigen_coefficients(amplitudes, spectra)
-    pairs = [(b, i) for b, block in enumerate(coefficients) for i in range(block.size)]
-    weights = dict(zip(pairs, squared_moduli(coefficients)))
-    return weights, float(np.vdot(amplitudes, amplitudes).real) - uncovered

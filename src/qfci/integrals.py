@@ -245,8 +245,6 @@ def to_spin_orbitals(mol: MolecularIntegrals) -> SpinOrbitalIntegrals:
 def random_molecular_integrals(
     n_orb: int,
     rng: np.random.Generator,
-    n_elec: int | None = None,
-    scale: float = 1.0,
 ) -> MolecularIntegrals:
     """Dense random integrals obeying the FCIDUMP symmetries (test/scaling aid).
 
@@ -256,21 +254,19 @@ def random_molecular_integrals(
     """
     if why := _over_budget(n_orb):
         raise CapExceeded(why)
-    one = rng.standard_normal((n_orb, n_orb)) * scale
+    one = rng.standard_normal((n_orb, n_orb))
     one = 0.5 * (one + one.T)
 
-    t = rng.standard_normal((n_orb,) * 4) * scale
+    t = rng.standard_normal((n_orb,) * 4)
     t = t + t.transpose(1, 0, 2, 3)
     t = t + t.transpose(0, 1, 3, 2)
     two = (t + t.transpose(2, 3, 0, 1)) / 8.0
 
-    if n_elec is None:
-        n_elec = n_orb  # half filling
     return MolecularIntegrals(
         n_orb=n_orb,
-        n_elec=n_elec,
+        n_elec=n_orb,  # half filling
         ms2=0,
-        core_energy=float(rng.standard_normal() * scale),
+        core_energy=float(rng.standard_normal()),
         one_body=one,
         two_body=two,
     )

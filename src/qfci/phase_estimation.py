@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, WeightNormalization
-from .guess import GuessState
 from .hamiltonian import (
     SECTOR_BYTE_BUDGET,
     SectorSpectrum,
@@ -28,7 +27,6 @@ from .statevector import (
     HADAMARD,
     StateVector,
     apply_gate,
-    from_amplitudes,
     measure_qubit,
     new_register,
     rz_phase,
@@ -97,18 +95,14 @@ class OutcomeRecord:
     overlap_trace: tuple[float, ...] | None = None
 
 
-def feedback_angle(later_bits) -> float:
-    """omega_k in turns from already-measured bits phi_{k+1}..phi_m.
+def _feedback(v, k: int, m: int):
+    """omega_k in turns from the bits read at levels m..k+1 (int or int array).
 
-    later_bits is most-significant-first; the angle is
-    -sum_j later_bits[j] / 2**(j+2), i.e. minus the known tail of the
-    phase shifted up by one bit.
+    v holds them with level m's bit as bit 0, so omega_k = -v / 2^(m-k+1),
+    minus the known tail of the phase shifted up by one bit.  The product
+    is exact, and +0.0 at v = 0.
     """
-    omega = 0.0
-    for j, bit in enumerate(later_bits):
-        if bit:
-            omega -= 0.5 ** (j + 2)
-    return omega
+    return -v * 2.0 ** (k - m - 1)
 
 
 def bit_probability(phase: float, k: int, omega: float) -> float:
@@ -126,14 +120,15 @@ def _kernel_grid(d, m: int):
     """Squared Dirichlet kernel at a grid-unit distance d (array or scalar).
 
     d is (phase*2^m - outcome) and may be any real; the kernel has
-    period 2^m in d and equals 1 at d = 0.
+    period 2^m in d and equals 1 at d = 0, and where d is so small that
+    the denominator underflows.
     """
     size = float(1 << m)
     d = np.mod(np.asarray(d, dtype=float), size)
     num = np.sin(np.pi * np.mod(d, 1.0)) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         den = (size * np.sin(np.pi * d / size)) ** 2
-        k = np.where(d == 0.0, 1.0, num / den)
+        k = np.where(den == 0.0, 1.0, num / den)
     return k if k.ndim else float(k)
 
 
@@ -172,14 +167,6 @@ def rounding_masses(phase: float, m: int) -> tuple[int, float, float]:
     down = float(_kernel_grid(u - b, m))
     up = float(_kernel_grid(u - (b + 1), m))
     return b, down, up
-
-
-def _as_statevector(guess) -> StateVector:
-    if isinstance(guess, GuessState):
-        return guess.to_statevector()
-    if isinstance(guess, StateVector):
-        return guess
-    return from_amplitudes(guess)
 
 
 def _require_normalized(weights) -> None:
@@ -225,7 +212,7 @@ def state_decomposition(
 
 
 def ipea_a_run(
-    guess,
+    guess: StateVector,
     spectra: list[SectorSpectrum],
     cfg: IpeaConfig,
     rng: np.random.Generator,
@@ -235,24 +222,23 @@ def ipea_a_run(
     (collapsed) system state.  A guess the spectra do not cover raises
     MissingSector before any gate.
     """
-    system = _as_statevector(guess)
-    n_sys = system.n_qubits
+    n_sys = guess.n_qubits
     readout = n_sys  # readout rides on top of the system bits
-    covered_coefficients(system.amplitudes, spectra)
+    covered_coefficients(guess.amplitudes, spectra)
 
     joint = new_register(n_sys + 1)
     halves = joint.amplitudes.reshape(2, -1)  # system amplitudes by readout bit
-    halves[0] = system.amplitudes
+    halves[0] = guess.amplitudes
 
-    later: list[int] = []
+    v = 0  # bits read so far, level m's as bit 0
     trace: list[float] = []
     for k in range(cfg.m, 0, -1):
         apply_gate(joint, HADAMARD, readout)
-        controlled_u_power_exact(joint, spectra, cfg.window, 1 << (k - 1), readout)
-        apply_gate(joint, rz_phase(feedback_angle(later)), readout)
+        controlled_u_power_exact(joint, spectra, cfg.window, 1 << (k - 1))
+        apply_gate(joint, rz_phase(_feedback(v, k, cfg.m)), readout)
         apply_gate(joint, HADAMARD, readout)
         bit, _ = measure_qubit(joint, readout, rng)
-        later.insert(0, bit)
+        v |= bit << (cfg.m - k)
         if track_overlaps:  # the largest |<u|psi>|^2 of the collapsed system
             trace.append(max(squared_moduli(eigen_coefficients(halves[bit], spectra)[0])))
         if bit:  # reset the readout to |0>
@@ -260,17 +246,17 @@ def ipea_a_run(
             halves[1] = 0.0
 
     final = StateVector(n_sys, halves[0].copy())
-    bits = PhaseBits(tuple(later))
+    bits = PhaseBits.from_outcome(v, cfg.m)
     record = OutcomeRecord(
         bits=bits,
-        energy=decode_energy(bits, cfg.window),
+        energy=cfg.window.energy_of(bits.value),
         overlap_trace=tuple(trace) if track_overlaps else None,
     )
     return record, final
 
 
 def ipea_a_success_probability(
-    guess,
+    guess: StateVector,
     spectra: list[SectorSpectrum],
     cfg: IpeaConfig,
     target: tuple[int, int],
@@ -282,7 +268,7 @@ def ipea_a_success_probability(
     Both carry the target's squared overlap with the guess, which must be
     normalised (WeightNormalization), as a factor.
     """
-    weights, phases, _ = _decompose(_as_statevector(guess).amplitudes, spectra, cfg.window)
+    weights, phases, _ = _decompose(guess.amplitudes, spectra, cfg.window)
     t = _pair_index(spectra, target)
     _, down, up = rounding_masses(float(phases[t]), cfg.m)
     return float(weights[t]) * down, float(weights[t]) * up
@@ -314,11 +300,10 @@ def _one_probability(weights: np.ndarray, phases: np.ndarray, k: int, angle):
     """Born probability of reading 1 at iteration k from an eigenphase mixture.
 
     angle = 2 pi omega is the feedback rotation in radians (scalar or
-    array).  With S_k = sum_j w_j exp(2 pi i frac(2^(k-1) phi_j)), the
-    eigenphase mixture sum_j w_j sin^2(pi (2^(k-1) phi_j + omega)) equals
-    (sum_j w_j - Re(exp(2 pi i omega) S_k)) / 2.  A voted history v (the
-    bits voted at iterations m..k+1, bit m-j being phi_j) has
-    omega = -v / 2^(m-k+1).
+    array), omega from _feedback.  With S_k = sum_j w_j exp(2 pi i
+    frac(2^(k-1) phi_j)), the eigenphase mixture
+    sum_j w_j sin^2(pi (2^(k-1) phi_j + omega)) equals
+    (sum_j w_j - Re(exp(2 pi i omega) S_k)) / 2.
     """
     s_k = np.dot(weights, np.exp(2j * np.pi * np.mod(2.0 ** (k - 1) * phases, 1.0)))
     re = np.cos(angle) * s_k.real - np.sin(angle) * s_k.imag
@@ -341,14 +326,14 @@ def _vote_runs(weights: np.ndarray, phases: np.ndarray, cfg: IpeaConfig, n_runs:
     v = np.zeros(n_runs, dtype=np.int64)
     ones = np.empty((m, n_runs), dtype=np.int64)
     for k in range(m, 0, -1):
-        angle = v * (-2.0 * np.pi * 2.0 ** (k - m - 1))
+        angle = 2.0 * np.pi * _feedback(v, k, m)
         ones[k - 1] = rng.binomial(reps, _one_probability(weights, phases, k, angle))
         v += (ones[k - 1] > reps // 2).astype(np.int64) << (m - k)
     return v, ones
 
 
 def ipea_b_run(
-    guess,
+    guess: StateVector,
     spectra: list[SectorSpectrum],
     cfg: IpeaConfig,
     rng: np.random.Generator,
@@ -357,12 +342,12 @@ def ipea_b_run(
 
     Sampled from the guess's eigen-mixture by _vote_runs.
     """
-    weights, phases, _ = _decompose(_as_statevector(guess).amplitudes, spectra, cfg.window)
+    weights, phases, _ = _decompose(guess.amplitudes, spectra, cfg.window)
     v, ones = _vote_runs(weights, phases, cfg, 1, rng)
     bits = PhaseBits.from_outcome(int(v[0]), cfg.m)
     return OutcomeRecord(
         bits=bits,
-        energy=decode_energy(bits, cfg.window),
+        energy=cfg.window.energy_of(bits.value),
         per_bit_stats=tuple((int(n), cfg.repetitions_per_bit) for n in ones[:, 0]),
     )
 
@@ -394,9 +379,10 @@ def _level_probabilities(weights: np.ndarray, phases: np.ndarray, m: int,
                          outcomes: np.ndarray) -> np.ndarray:
     """(m, len(outcomes)) probabilities of reading 1 along each outcome's path:
     row i is level k = m - i, after the prefix outcome & (2^i - 1) was voted."""
-    i = np.arange(m)[:, None]
-    angle = (outcomes & ((1 << i) - 1)) * (-2.0 * np.pi * 2.0 ** (-i - 1.0))
-    return np.array([_one_probability(weights, phases, m - j, angle[j]) for j in range(m)])
+    return np.array([
+        _one_probability(weights, phases, m - i,
+                         2.0 * np.pi * _feedback(outcomes & ((1 << i) - 1), m - i, m))
+        for i in range(m)])
 
 
 def _path_product(one: np.ndarray, reps: int, outcomes: np.ndarray) -> np.ndarray:
@@ -409,7 +395,7 @@ def _path_product(one: np.ndarray, reps: int, outcomes: np.ndarray) -> np.ndarra
 
 
 def ipea_b_success_probability(
-    guess,
+    guess: StateVector,
     spectra: list[SectorSpectrum],
     cfg: IpeaConfig,
     target: tuple[int, int],
@@ -429,7 +415,7 @@ def ipea_b_success_probability(
     if not counts:
         raise ValueError("repetition_counts must not be empty")
     _require_odd_reps(counts)
-    weights, phases, _ = _decompose(_as_statevector(guess).amplitudes, spectra, cfg.window)
+    weights, phases, _ = _decompose(guess.amplitudes, spectra, cfg.window)
     b_down = _round_down(float(phases[_pair_index(spectra, target)]), cfg.m)
     outcomes = np.array([b_down, (b_down + 1) % (1 << cfg.m)], dtype=np.int64)
     one = _level_probabilities(weights, phases, cfg.m, outcomes)
@@ -439,8 +425,3 @@ def ipea_b_success_probability(
     if return_detail:
         return result, BSuccessDetail(result, 0.0, 2)
     return result
-
-
-def decode_energy(bits: PhaseBits, window: EvolutionWindow) -> float:
-    """E = E_max - phi_tilde * (E_max - E_min)."""
-    return window.energy_of(bits.value)

@@ -110,18 +110,13 @@ def controlled_u_power_exact(
     spectra: list[SectorSpectrum],
     window: EvolutionWindow,
     power: int,
-    control: int,
 ) -> StateVector:
     """Controlled-U**power on a joint readout+system register, in place.
 
-    U**power acts, as in u_power_exact, on the control-1 branch, whose
-    system qubit j is joint qubit j below the control and j+1 above it.
+    The control is the top qubit; U**power acts, as in u_power_exact, on
+    the control-1 half, whose qubit j is system qubit j.
     """
-    n = state.n_qubits
-    view = state.amplitudes.reshape(1 << (n - control - 1), 2, 1 << control)[:, 1, :]
-    branch = view.reshape(-1)  # a view when the control is the lowest or top qubit
-    _propagate(branch, spectra, window, power)
-    view[...] = branch.reshape(view.shape)
+    _propagate(state.amplitudes.reshape(2, -1)[1], spectra, window, power)
     return state
 
 

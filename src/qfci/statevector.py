@@ -39,16 +39,6 @@ def new_register(n_qubits: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-def from_amplitudes(amps) -> StateVector:
-    amps = np.asarray(amps, dtype=np.complex128).reshape(-1).copy()
-    n = int(amps.size).bit_length() - 1
-    if (1 << n) != amps.size:
-        raise IndexOutOfRange(f"amplitude count {amps.size} is not a power of two")
-    if n > DEFAULT_QUBIT_CAP:
-        raise CapExceeded(f"{n} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
-    return StateVector(n, amps)
-
-
 # -- gates --------------------------------------------------------------
 
 HADAMARD = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]],

@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 
 from qfci.hamiltonian import FermionTerm, PauliOperator, PauliString
-from qfci.phase_estimation import PhaseBits, feedback_angle
+from qfci.phase_estimation import PhaseBits
 from qfci.propagator import controlled_u_power_exact
 from qfci.statevector import HADAMARD, apply_gate, measure_qubit, new_register, rz_phase
 
@@ -134,13 +134,13 @@ def ipea_b_run_gate_level(guess, spectra, cfg, rng):
     reps = cfg.repetitions_per_bit
     later, ones_per_bit = [], []
     for k in range(cfg.m, 0, -1):
-        omega = feedback_angle(later)
+        omega = -sum(bit * 0.5 ** (j + 2) for j, bit in enumerate(later))
         ones = 0
         for _ in range(reps):
             joint = new_register(n + 1)
             joint.amplitudes[: 1 << n] = guess.amplitudes
             apply_gate(joint, HADAMARD, n)
-            controlled_u_power_exact(joint, spectra, cfg.window, 1 << (k - 1), n)
+            controlled_u_power_exact(joint, spectra, cfg.window, 1 << (k - 1))
             apply_gate(joint, rz_phase(omega), n)
             apply_gate(joint, HADAMARD, n)
             ones += measure_qubit(joint, n, rng)[0]

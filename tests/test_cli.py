@@ -1,11 +1,17 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import operator
+import os
 from functools import reduce
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfci.cli as cli
 from qfci.cli import SEARCH_CAVEAT, load_scan_config, main
@@ -61,6 +67,7 @@ BAD_VALUES = [
      "points[0].guess.core"),
     (("points", 0, "guess"), {"kind": "csf", "open_pair": [0, 1], "coupling": 3},
      "points[0].guess.coupling"),
+    (("points", 0, "guess"), {"kind": "csf", "open_pair": [1, 1]}, "points[0].guess.open_pair"),
     (("points", 0, "guess"), {"kind": "nope"}, "points[0].guess.kind"),
     (("points", 0, "target"), -1, "points[0].target"),
     (("points", 0, "sector"), [-1, 1], "points[0].sector"),
@@ -476,6 +483,50 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "no such file" in capsys.readouterr().err
 
+    def test_fcidump_directory_rejected(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        replace_value(cfg_path, ("points", 0, "fcidump"), ".")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "points[0]: no such file" in err
+
+    @pytest.mark.parametrize("option", ["--config", "--csv"])
+    def test_unusable_path_exits_2(self, option, tmp_path, capsys):
+        # a config that is a directory, or a CSV path that is one, raised an OSError
+        cfg_path = write_config(tmp_path)
+        argv = {"--config": str(cfg_path), option: str(tmp_path)}
+        assert main(["run", *(token for pair in argv.items() for token in pair)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "directory" in err
+
+    @pytest.mark.parametrize("where, value, error", [
+        (("points", 0, "target"), 4, "KeyError"),
+        (("points", 0, "target"), 10**30, "KeyError"),
+        (("points", 0, "sector"), [1, 3], "ElectronCountExceedsOrbitals"),
+        (("points", 0, "sector"), [10**30, 1], "ElectronCountExceedsOrbitals"),
+    ])
+    def test_point_past_the_file_is_typed_error_row(self, where, value, error, tmp_path):
+        # a CSF guess in (1,1) keeps the guess valid; the target or sector
+        # is past what the two-orbital file holds, which gave an IndexError
+        # or OverflowError row
+        cfg_path = write_config(tmp_path)
+        replace_value(cfg_path, ("points", 0, "guess"), {"kind": "csf", "open_pair": [0, 1]})
+        replace_value(cfg_path, where, value)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        (row,) = read_rows(tmp_path / "scan.csv")
+        assert row["error"].startswith(f"{error}:")
+
+    @pytest.mark.parametrize("amplitude", ["inf", "nan"])
+    def test_non_finite_amplitude_is_error_row(self, amplitude, tmp_path):
+        # inf gave an ok row of nan cells; nan was dropped silently
+        (tmp_path / "guess.amp").write_text(f"1.0 0110\n{amplitude} 1010\n", encoding="utf-8")
+        cfg_path = write_config(tmp_path)
+        replace_value(cfg_path, ("points", 0, "guess"), {"kind": "amplitudes", "path": "guess.amp"})
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        (row,) = read_rows(tmp_path / "scan.csv")
+        assert row["error"].startswith("MalformedLine:") and "line 2" in row["error"]
+        assert "nan" not in (tmp_path / "scan.csv").read_text()
+
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         import shutil
 
@@ -622,3 +673,107 @@ class TestScalingCommand:
             )
             blobs.append((csv_path.read_bytes(), json_path.read_bytes()))
         assert blobs[0] == blobs[1]
+
+
+# -- fuzz: every input runs or exits 2 ----------------------------------------
+
+FUZZ_CONFIG = {
+    "ipea": {"e_max": 1.0, "e_min": -1.5, "bits": 6, "seed": 7, "variant": "A",
+             "repetitions_per_bit": 3},
+    "repetition_counts": [1, 3],
+    "points": [
+        {"label": "hf", "fcidump": str(FIXTURES / "h2_sto3g_r1.4011.fcidump"),
+         "guess": {"kind": "hf"}, "sector": [1, 1], "target": 0},
+        {"label": "csf", "fcidump": str(FIXTURES / "h2_sto3g_r1.4011.fcidump"),
+         "guess": {"kind": "csf", "core": [], "open_pair": [0, 1], "coupling": "singlet"},
+         "sector": [1, 1], "target": 1},
+        {"label": "amp", "fcidump": str(FIXTURES / "h2_sto3g_r1.4011.fcidump"),
+         "guess": {"kind": "amplitudes", "path": "guess.amp", "threshold": 0.0},
+         "sector": [1, 1]},
+        {"label": "random", "fcidump": str(FIXTURES / "h2_sto3g_r1.4011.fcidump"),
+         "guess": {"kind": "random"}, "sector": [1, 1]},
+    ],
+    "outputs": {"csv": "scan.csv", "json": "scan.json"},
+}
+FUZZ_VALUES = [None, True, False, "x", "", ".", -1, 0, 1, 3, 2.5, 1e308, -1e308, 10**30,
+               float("nan"), float("inf"), [], [1], {}]
+FUZZ_OPTIONS = ("--config", "--seed", "--variant", "--bits", "--emax", "--emin", "--reps",
+                "--search-runs", "--csv", "--json")
+FUZZ_ARGS = ["-1", "0", "1", "3", "2.5", "x", "", ".", "nan", "inf", "1e308", "1,3", "B"]
+# failures that depend on the FCIDUMP or the guess file, so they become error
+# rows of an otherwise finished scan; ValueError is a CSF orbital past the file
+ROW_ERRORS = ("ElectronCountExceedsOrbitals", "EmptyAfterThreshold", "KeyError",
+              "MalformedLine", "MissingSector", "OverlapWithCore", "ParseError",
+              "SectorTooLarge", "ValueError")
+
+
+def config_leaves(node, where=()):
+    """Key paths of every scalar or empty container in a JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)) and value:
+            yield from config_leaves(value, (*where, key))
+        else:
+            yield (*where, key)
+
+
+def scan_reports(work: Path):
+    """The scan reports among the files in work, whatever their names."""
+    for path in work.iterdir():
+        try:
+            report = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError:
+            continue
+        if isinstance(report, dict) and report.get("schema") == cli.SCAN_SCHEMA_ID:
+            yield report
+
+
+def main_exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's own exit for an unparsable option
+        return exc.code
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("config"), st.sampled_from(list(config_leaves(FUZZ_CONFIG))),
+              st.sampled_from(FUZZ_VALUES)),
+    st.tuples(st.just("argv"), st.sampled_from(FUZZ_OPTIONS), st.sampled_from(FUZZ_ARGS)),
+))
+def test_fuzz_runs_or_exits_2(tmp_path_factory, mutation):
+    kind, where, value = mutation
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "guess.amp").write_text("0.8 0110\n-0.6 1010\n", encoding="utf-8")
+    cfg_path = work / "scan_config.json"
+    cfg_path.write_text(json.dumps(FUZZ_CONFIG), encoding="utf-8")
+    options = {"--config": str(cfg_path), "--search-runs": "2"}
+    if kind == "config":
+        replace_value(cfg_path, where, value)
+    else:
+        options[where] = value
+    argv = ["run", *(token for pair in options.items() for token in pair)]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)  # relative --csv and --json values land in the work directory
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main_exit_code(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2), (argv, err.getvalue())
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert sum("error:" in line for line in lines) == 1, lines
+        return
+    reports = list(scan_reports(work))
+    assert reports
+    for report in reports:
+        for point in report["points"]:
+            if point["status"] == "error":
+                assert point["error"].split(":")[0] in ROW_ERRORS, point["error"]
+            else:
+                floats = [v for v in point.values() if isinstance(v, float)]
+                floats += [*point["b_success"].values(), *point.get("search", {}).values()]
+                assert all(math.isfinite(v) for v in floats), point

@@ -44,6 +44,10 @@ class TestGuessState:
         with pytest.raises(ValueError):
             GuessState(2, ((0b01, 0.5 + 0j),))
 
+    def test_nan_norm_rejected(self):
+        with pytest.raises(ValueError, match="norm"):
+            GuessState(2, ((0b01, complex("nan")),))
+
     def test_sector_mixing_rejected_unless_flagged(self):
         entries = ((0b0001, SQ2 + 0j), (0b0011, SQ2 + 0j))  # (1,0) and (2,0)
         with pytest.raises(ValueError):
@@ -141,6 +145,15 @@ class TestLoadAmplitudeGuess:
     def test_malformed_line_number(self, tmp_path):
         p = self.write(tmp_path, "1.0 0101\nbroken\n")
         with pytest.raises(MalformedLine) as err:
+            load_amplitude_guess(p)
+        assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("amplitude", ["inf", "-inf", "nan", "1+nanj", "infj"])
+    def test_non_finite_amplitude_rejected(self, amplitude, tmp_path):
+        # nan fails every threshold test, so it used to be dropped silently;
+        # inf made every normalised amplitude nan
+        p = self.write(tmp_path, f"1.0 0110\n{amplitude} 1010\n")
+        with pytest.raises(MalformedLine, match="non-finite amplitude") as err:
             load_amplitude_guess(p)
         assert "line 2" in str(err.value)
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qfci.hamiltonian as hamiltonian
-from qfci.errors import DimensionMismatch, SectorTooLarge
+from qfci.errors import DimensionMismatch, ElectronCountExceedsOrbitals, SectorTooLarge
 from qfci.guess import GuessState
 from qfci.hamiltonian import (
     CHUNK_ELEMENTS,
@@ -16,7 +16,6 @@ from qfci.hamiltonian import (
     PauliString,
     apply_operator,
     build_second_quantized,
-    eigen_weights,
     enumerate_sector,
     exact_eigensolve,
     jordan_wigner,
@@ -28,6 +27,7 @@ from qfci.integrals import (
     random_molecular_integrals,
     to_spin_orbitals,
 )
+from qfci.phase_estimation import state_decomposition
 from tests.conftest import H2_SECTOR_11_EIGENVALUES
 from tests.oracles import (
     build_second_quantized_by_loop,
@@ -508,6 +508,12 @@ class TestSectors:
         assert len(enumerate_sector(2, 1, 1)) == 4
         assert len(enumerate_sector(7, 4, 3)) == 35 * 35
 
+    @pytest.mark.parametrize("sector", [(3, 1), (1, 3), (10**30, 1)])
+    def test_sector_beyond_orbitals_rejected(self, sector):
+        # an empty sector gave an empty spectrum, and 10**30 an OverflowError
+        with pytest.raises(ElectronCountExceedsOrbitals):
+            enumerate_sector(2, *sector)
+
     def test_enumerate_sector_sorted_and_consistent(self):
         dets = enumerate_sector(3, 2, 1)
         assert dets == sorted(dets)
@@ -644,12 +650,14 @@ class TestSpectraHelpers:
         assert GuessState(4, tuple(entries), multi_sector=True).sectors == {
             (0, 1), (1, 0), (1, 1)}
 
-    def test_eigen_weights_sum(self, h2_terms, h2_hf_state, h2_spectrum_11):
-        weights, covered = eigen_weights(h2_hf_state.amplitudes, [h2_spectrum_11])
-        assert covered == pytest.approx(1.0, abs=1e-12)
-        assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
-        assert weights[(0, 0)] > 0.9
+    def test_eigen_weights_sum(self, h2_terms, h2_hf_state, h2_spectrum_11, window):
+        decomp = state_decomposition(h2_hf_state.amplitudes, [h2_spectrum_11], window)
+        assert sum(w for w, *_ in decomp) == pytest.approx(1.0, abs=1e-12)
+        weight, _, _, pair = decomp[0]
+        assert pair == (0, 0) and weight > 0.9
 
-    def test_eigen_weights_rejects_overlapping_blocks(self, h2_hf_state, h2_spectrum_11):
+    def test_eigen_weights_rejects_overlapping_blocks(self, h2_hf_state, h2_spectrum_11,
+                                                      window):
         with pytest.raises(DimensionMismatch):
-            eigen_weights(h2_hf_state.amplitudes, [h2_spectrum_11, h2_spectrum_11])
+            state_decomposition(h2_hf_state.amplitudes, [h2_spectrum_11, h2_spectrum_11],
+                                window)

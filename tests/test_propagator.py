@@ -129,7 +129,7 @@ class TestExactPropagator:
         before = sv.amplitudes.copy()
         with pytest.raises(MissingSector):
             if controlled:
-                controlled_u_power_exact(sv, [h2_spectrum_11], window, 3, control=4)
+                controlled_u_power_exact(sv, [h2_spectrum_11], window, 3)
             else:
                 u_power_exact(sv, [h2_spectrum_11], window, power=3)
         assert np.array_equal(sv.amplitudes, before)
@@ -176,31 +176,30 @@ class TestControlledPropagator:
         system = random_state(4, 1)
         joint = self.make_joint(system)
         before = joint.amplitudes[:16].copy()
-        controlled_u_power_exact(joint, h2_full_spectra, window, 8, control=4)
+        controlled_u_power_exact(joint, h2_full_spectra, window, 8)
         assert np.array_equal(joint.amplitudes[:16], before)
 
-    @pytest.mark.parametrize("control", [0, 2, 4])
-    def test_branch_is_u_power_bitwise(self, control, h2_full_spectra, window):
-        joint = StateVector(5, random_state(5, 30 + control))
-        before = joint.amplitudes.reshape(1 << (4 - control), 2, 1 << control).copy()
-        expect = StateVector(4, before[:, 1, :].reshape(-1).copy())
+    def test_branch_is_u_power_bitwise(self, h2_full_spectra, window):
+        joint = StateVector(5, random_state(5, 34))
+        before = joint.amplitudes.reshape(2, 16).copy()
+        expect = StateVector(4, before[1].copy())
         u_power_exact(expect, h2_full_spectra, window, power=5)
-        controlled_u_power_exact(joint, h2_full_spectra, window, 5, control=control)
-        after = joint.amplitudes.reshape(before.shape)
-        assert np.array_equal(after[:, 1, :].reshape(-1), expect.amplitudes)
-        assert np.array_equal(after[:, 0, :], before[:, 0, :])
+        controlled_u_power_exact(joint, h2_full_spectra, window, 5)
+        after = joint.amplitudes.reshape(2, 16)
+        assert np.array_equal(after[1], expect.amplitudes)
+        assert np.array_equal(after[0], before[0])
 
     def test_overlapping_blocks_rejected(self, h2_hf_state, h2_spectrum_11, window):
         joint = self.make_joint(h2_hf_state.amplitudes)
         with pytest.raises(DimensionMismatch):
             controlled_u_power_exact(
-                joint, [h2_spectrum_11, h2_spectrum_11], window, 1, control=4
+                joint, [h2_spectrum_11, h2_spectrum_11], window, 1
             )
 
     def test_control1_branch_is_u_power(self, h2_terms, h2_full_spectra, window):
         system = random_state(4, 2)
         joint = self.make_joint(system)
-        controlled_u_power_exact(joint, h2_full_spectra, window, 4, control=4)
+        controlled_u_power_exact(joint, h2_full_spectra, window, 4)
         oracle = dense_window_u(h2_terms, 4, window, power=4) @ (
             system / np.sqrt(2)
         )
@@ -210,7 +209,7 @@ class TestControlledPropagator:
         # |1> branch of the readout picks up exactly phi turns for power 1
         ground = h2_spectrum_11.embed(0, 4)
         joint = self.make_joint(ground)
-        controlled_u_power_exact(joint, h2_full_spectra, window, 1, control=4)
+        controlled_u_power_exact(joint, h2_full_spectra, window, 1)
         ratio = joint.amplitudes[16:] @ ground.conj() * np.sqrt(2)
         phi = window.phase_of(h2_spectrum_11.eigenvalues[0])
         assert np.angle(ratio) / (2 * np.pi) % 1.0 == pytest.approx(phi % 1.0, abs=1e-12)
@@ -226,35 +225,19 @@ class TestControlledPropagator:
         joint = new_register(3)
         joint.amplitudes[:] = 1.0 / np.sqrt(8.0)
         before = joint.amplitudes.copy()
-        controlled_u_power_exact(joint, spectra, w, 1, control=2)
+        controlled_u_power_exact(joint, spectra, w, 1)
         # control-1 branch: system mask 1 has E = e_max -> phase 0;
         # system mask 0 has E = 0 -> phase 0.75 turns
         assert joint.amplitudes[4 + 1] == pytest.approx(before[4 + 1], abs=1e-12)
         angle = np.angle(joint.amplitudes[4 + 0] / before[4 + 0]) / (2 * np.pi)
         assert angle % 1.0 == pytest.approx(0.75, abs=1e-12)
 
-    def test_control_qubit_inside_register(self, h2_terms, h2_full_spectra, window):
-        # control below the system bits exercises the strided branch view
-        system = random_state(4, 9)
-        joint = new_register(5)
-        # system occupies qubits 1..4, control is qubit 0
-        amps = joint.amplitudes.reshape(16, 2)
-        amps[:, 0] = system / np.sqrt(2)
-        amps[:, 1] = system / np.sqrt(2)
-        joint.amplitudes[:] = amps.reshape(-1)
-        # determinants stay system-local; the kernel inserts the control bit
-        controlled_u_power_exact(joint, h2_full_spectra, window, 2, control=0)
-        out = joint.amplitudes.reshape(16, 2)
-        oracle = dense_window_u(h2_terms, 4, window, power=2) @ (system / np.sqrt(2))
-        assert np.allclose(out[:, 0], system / np.sqrt(2), atol=0)
-        assert np.allclose(out[:, 1], oracle, atol=1e-10)
-
     def test_circuit_identity_phase_rotation(self, h2_terms, h2_full_spectra, window):
         # controlled-U == controlled-e^{-i tau H} then Rz(tau E_max) on the
         # control; verify by undoing the rotation and comparing oracles
         system = random_state(4, 5)
         joint = self.make_joint(system)
-        controlled_u_power_exact(joint, h2_full_spectra, window, 3, control=4)
+        controlled_u_power_exact(joint, h2_full_spectra, window, 3)
         apply_gate(
             joint,
             rz_phase(-3 * window.tau * window.e_max / (2 * np.pi)),

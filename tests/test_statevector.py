@@ -6,7 +6,6 @@ from qfci.statevector import (
     HADAMARD,
     StateVector,
     apply_gate,
-    from_amplitudes,
     measure_qubit,
     new_register,
     rz_phase,
@@ -53,7 +52,7 @@ class TestGates:
         rng = np.random.default_rng(0)
         amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         amps /= np.linalg.norm(amps)
-        sv = from_amplitudes(amps.copy())
+        sv = StateVector(3, amps.copy())
         apply_gate(sv, HADAMARD, 1)
         apply_gate(sv, HADAMARD, 1)
         assert np.allclose(sv.amplitudes, amps, atol=1e-14)
@@ -77,7 +76,7 @@ class TestGates:
         # Rz(1/2) = Z negates the bit-1 amplitudes of its target only
         rng = np.random.default_rng(5)
         amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        sv = from_amplitudes(amps)
+        sv = StateVector(3, amps.copy())
         apply_gate(sv, rz_phase(0.5), 1)
         assert np.allclose(sv.amplitudes, amps * [1, 1, -1, -1, 1, 1, -1, -1], atol=1e-15)
 
@@ -100,7 +99,7 @@ class TestGates:
 
 class TestMeasurement:
     def test_deterministic_branch(self):
-        sv = from_amplitudes([0, 1, 0, 0])
+        sv = StateVector(2, np.array([0, 1, 0, 0], complex))
         apply_gate(sv, HADAMARD, 1)
         rng = np.random.default_rng(0)
         bit, _ = measure_qubit(sv, 0, rng)
@@ -133,7 +132,7 @@ class TestMeasurement:
         trials = 10_000
         ones = 0
         for _ in range(trials):
-            sv = from_amplitudes(amps.copy())
+            sv = StateVector(3, amps.copy())
             bit, _ = measure_qubit(sv, 2, rng)
             ones += bit
         # one-cell chi-square at 3 sigma
