@@ -728,13 +728,6 @@ def scan_reports(work: Path):
             yield report
 
 
-def main_exit_code(argv) -> int:
-    try:
-        return main(argv)
-    except SystemExit as exc:  # argparse's own exit for an unparsable option
-        return exc.code
-
-
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.one_of(
     st.tuples(st.just("config"), st.sampled_from(list(config_leaves(FUZZ_CONFIG))),
@@ -758,7 +751,10 @@ def test_fuzz_runs_or_exits_2(tmp_path_factory, mutation):
     os.chdir(work)  # relative --csv and --json values land in the work directory
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main_exit_code(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own exit for an unparsable option
+                code = exc.code
     finally:
         os.chdir(cwd)
     assert code in (0, 2), (argv, err.getvalue())
