@@ -62,6 +62,8 @@ OVERRIDE_KEYS = ("seed", "variant", "bits", "e_max", "e_min", "repetition_counts
                  "csv", "json")
 # eigen-weight above which an eigenvalue counts as populated by the guess
 POPULATED_TOL = 1e-12
+# largest odd repetition count whose majority tails stay finite in float64
+MAX_REPETITIONS = 1029
 
 
 @dataclass(frozen=True)
@@ -166,6 +168,8 @@ def _parse_scan_config(raw, path: Path, overrides: dict) -> ScanConfig:
     for i, r in enumerate(reps_list):
         if r < 1 or r % 2 == 0:
             raise QfciError(f"repetition counts must be odd, got {r}")
+        if r > MAX_REPETITIONS:
+            raise QfciError(f"repetition counts must be at most {MAX_REPETITIONS}, got {r}")
         if r in reps_list[:i]:
             raise QfciError(f"repetition count {r} is repeated")
     repeats = ipea_raw.get("whole_run_repeats", 1)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     ElectronCountExceedsOrbitals,
     EmptyAfterThreshold,
     MalformedLine,
@@ -87,11 +88,11 @@ def open_shell_csf(
         if orb in core:
             raise OverlapWithCore(f"open orbital {orb} is doubly occupied in core")
         if not 0 <= orb < n_orb:
-            raise ValueError(f"orbital {orb} outside 0..{n_orb - 1}")
+            raise DimensionMismatch(f"orbital {orb} outside 0..{n_orb - 1}")
     core_mask = 0
     for orb in core:
         if not 0 <= orb < n_orb:
-            raise ValueError(f"core orbital {orb} outside 0..{n_orb - 1}")
+            raise DimensionMismatch(f"core orbital {orb} outside 0..{n_orb - 1}")
         core_mask |= (1 << orb) | (1 << (n_orb + orb))
 
     d1 = core_mask | (1 << a) | (1 << (n_orb + b))  # a_alpha b_beta

@@ -27,7 +27,8 @@ UNCOVERED_TOL = 1e-12
 SOLVE_BYTES_PER_ELEMENT = 5 * 8
 SECTOR_BYTE_BUDGET = 2 << 30
 SECTOR_CAP = isqrt(SECTOR_BYTE_BUDGET // SOLVE_BYTES_PER_ELEMENT)
-# Elements per (terms x strings) table and per pair array in the sector build
+# Elements per (terms x strings) table and per pair array in the sector build,
+# and per row or column slab the component search reads
 CHUNK_ELEMENTS = 1 << 14
 # Mask components per block in Jordan-Wigner; each block is one insert
 # into the running sorted key set, so larger blocks mean fewer inserts
@@ -502,7 +503,15 @@ def exact_eigensolve(
     n_so: int,
     sector: tuple[int, int],
 ) -> SectorSpectrum:
-    """Dense FCI diagonalization of one (n_alpha, n_beta) sector."""
+    """FCI diagonalization of one (n_alpha, n_beta) sector, block by block.
+
+    The blocks are the connected components of the sector matrix's exact
+    nonzero pattern, so symmetry-forbidden couplings (exact zeros) split
+    the solve.  Each block gets one dense eigh; the eigenpairs are merged
+    in ascending eigenvalue order, ties kept in component order, and each
+    eigenvector is exactly zero off its component.  A one-component
+    sector gets the bits of eigh on the whole matrix.
+    """
     n_orb = n_so // 2
     n_alpha, n_beta = sector
     dim = comb(n_orb, n_alpha) * comb(n_orb, n_beta)
@@ -513,13 +522,50 @@ def exact_eigensolve(
         )
     dets = np.array(enumerate_sector(n_orb, n_alpha, n_beta), dtype=np.int64)
     mat = _sector_matrix(terms, n_so, dets, sector)
-    eigenvalues, eigenvectors = np.linalg.eigh(mat)
+    members = _components(mat)
+    blocks = [mat[np.ix_(rows, rows)] for rows in members]
+    del mat  # so a one-component solve peaks as one dense eigh, within SECTOR_CAP
+    solved = [np.linalg.eigh(blocks.pop(0)) for _ in members]
+    values = np.concatenate([w for w, _ in solved])
+    order = np.argsort(values, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(dim)
+    columns = np.split(column, np.cumsum([rows.size for rows in members])[:-1])
+    eigenvectors = np.zeros((dim, dim))
+    for rows, cols, (_, v) in zip(members, columns, solved):
+        eigenvectors[np.ix_(rows, cols)] = v
     return SectorSpectrum(
         sector=sector,
-        eigenvalues=eigenvalues,
+        eigenvalues=values[order],
         eigenvectors=eigenvectors,
         determinants=dets,
     )
+
+
+def _components(mat: np.ndarray) -> list[np.ndarray]:
+    """Row indices of each connected component of mat's nonzero pattern.
+
+    A breadth-first search from the lowest row not yet reached, reading
+    the frontier's rows and columns CHUNK_ELEMENTS entries at a time, so
+    no dim x dim temporary is made: components come ordered by their
+    lowest row, their rows ascending.
+    """
+    step = max(1, CHUNK_ELEMENTS // mat.shape[0])
+    unseen = np.ones(mat.shape[0], dtype=bool)
+    members = []
+    while unseen.any():
+        reached = np.zeros_like(unseen)
+        frontier = np.flatnonzero(unseen)[:1]
+        while frontier.size:
+            reached[frontier] = True
+            near = np.zeros_like(unseen)
+            for lo in range(0, frontier.size, step):
+                rows = frontier[lo:lo + step]
+                near |= (mat[rows] != 0).any(axis=0) | (mat[:, rows] != 0).any(axis=1)
+            frontier = np.flatnonzero(near & ~reached)
+        unseen &= ~reached
+        members.append(np.flatnonzero(reached))
+    return members
 
 
 def _require_disjoint(spectra: list[SectorSpectrum]) -> None:

@@ -355,6 +355,23 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "odd" in capsys.readouterr().err
 
+    def test_repetition_count_past_the_limit_rejected(self, tmp_path, capsys):
+        # the majority tail of 1031 repetitions overflows float64
+        cfg_path = write_config(tmp_path, repetition_counts=[3, 1031])
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        cfg_path = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg_path), "--reps", "1031"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: repetition counts must be at most 1029, got 1031"] * 2
+        assert not (tmp_path / "scan.csv").exists()
+
+    def test_largest_repetition_count_runs(self, tmp_path):
+        cfg_path = write_config(tmp_path, repetition_counts=[1029])
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        (row,) = read_rows(tmp_path / "scan.csv")
+        assert row["error"] == ""
+        assert 0.0 < float(row["b_success_r1029"]) <= 1.0
+
     @pytest.mark.parametrize("counts", [[11, 11], [31, 11, 51, 11]])
     def test_repeated_repetition_count_rejected(self, counts, tmp_path, capsys):
         cfg_path = write_config(tmp_path, repetition_counts=counts)
@@ -701,10 +718,10 @@ FUZZ_OPTIONS = ("--config", "--seed", "--variant", "--bits", "--emax", "--emin",
                 "--search-runs", "--csv", "--json")
 FUZZ_ARGS = ["-1", "0", "1", "3", "2.5", "x", "", ".", "nan", "inf", "1e308", "1,3", "B"]
 # failures that depend on the FCIDUMP or the guess file, so they become error
-# rows of an otherwise finished scan; ValueError is a CSF orbital past the file
-ROW_ERRORS = ("ElectronCountExceedsOrbitals", "EmptyAfterThreshold", "KeyError",
-              "MalformedLine", "MissingSector", "OverlapWithCore", "ParseError",
-              "SectorTooLarge", "ValueError")
+# rows of an otherwise finished scan; DimensionMismatch is a CSF orbital past the file
+ROW_ERRORS = ("DimensionMismatch", "ElectronCountExceedsOrbitals", "EmptyAfterThreshold",
+              "KeyError", "MalformedLine", "MissingSector", "OverlapWithCore", "ParseError",
+              "SectorTooLarge")
 
 
 def config_leaves(node, where=()):

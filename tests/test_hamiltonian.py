@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import qfci.hamiltonian as hamiltonian
 from qfci.errors import DimensionMismatch, ElectronCountExceedsOrbitals, SectorTooLarge
-from qfci.guess import GuessState
+from qfci.guess import GuessState, hf_determinant
 from qfci.hamiltonian import (
     CHUNK_ELEMENTS,
     JW_CHUNK_ELEMENTS,
@@ -24,11 +26,13 @@ from qfci.hamiltonian import (
 from qfci.integrals import (
     MolecularIntegrals,
     SpinOrbitalIntegrals,
+    parse_fcidump,
     random_molecular_integrals,
     to_spin_orbitals,
 )
 from qfci.phase_estimation import state_decomposition
-from tests.conftest import H2_SECTOR_11_EIGENVALUES
+from qfci.propagator import EvolutionWindow
+from tests.conftest import FIXTURES, H2_SECTOR_11_EIGENVALUES
 from tests.oracles import (
     build_second_quantized_by_loop,
     dense_fermion,
@@ -582,16 +586,30 @@ ORACLE_CASES = [
 ]
 
 
+def assert_solves(spec, mat):
+    """spec holds mat's eigenpairs: eigenvalues within 1e-12 of dense eigh,
+    orthonormal eigenvectors and residuals to 1e-12."""
+    v, e = spec.eigenvectors, spec.eigenvalues
+    assert np.abs(e - np.linalg.eigvalsh(mat)).max() <= 1e-12
+    assert np.abs(v.T @ v - np.eye(e.size)).max() <= 1e-12
+    assert np.abs(mat @ v - v * e).max() <= 1e-12
+
+
 class TestSectorBuildOracle:
     @pytest.mark.parametrize("system,n_so,sector", ORACLE_CASES)
     def test_matches_loop_build_exactly(self, h2_terms, system, n_so, sector):
         terms = h2_terms if system == "h2" else _random_terms(n_so // 2, 20 + n_so)
+        expected = sector_matrix_by_loop(terms, n_so, sector)
+        dets = np.array(enumerate_sector(n_so // 2, *sector), dtype=np.int64)
+        built = hamiltonian._sector_matrix(terms, n_so, dets, sector)
+        assert built.tobytes() == expected.tobytes()
         spec = exact_eigensolve(terms, n_so, sector)
-        eigenvalues, eigenvectors = np.linalg.eigh(
-            sector_matrix_by_loop(terms, n_so, sector)
-        )
-        assert np.array_equal(spec.eigenvalues, eigenvalues)
-        assert np.array_equal(spec.eigenvectors, eigenvectors)
+        assert_solves(spec, expected)
+        if system != "h2":  # random integrals couple every determinant: one component
+            assert len(hamiltonian._components(expected)) == 1
+            eigenvalues, eigenvectors = np.linalg.eigh(expected)
+            assert np.array_equal(spec.eigenvalues, eigenvalues)
+            assert np.array_equal(spec.eigenvectors, eigenvectors)
 
     def test_largest_case_spans_several_chunks(self):
         terms = _random_terms(5, 30)
@@ -640,6 +658,80 @@ class TestSectorBuildHandMadeTerms:
                  FermionTerm(0.5, ((1, False), (1, False)))]
         dets = np.array(enumerate_sector(2, 1, 0), dtype=np.int64)
         assert not hamiltonian._sector_matrix(terms, 4, dets, (1, 0)).any()
+
+
+@st.composite
+def planted_blocks(draw):
+    """(matrix, blocks): 1-4 random symmetric blocks on a random permutation
+    of the rows, with exact zeros between blocks; each block is dense, so
+    connected."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    rows = np.array(draw(st.permutations(range(sum(sizes)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = np.zeros((rows.size, rows.size))
+    blocks = []
+    for part in np.split(rows, np.cumsum(sizes)[:-1]):
+        a = rng.standard_normal((part.size, part.size))
+        mat[np.ix_(part, part)] = a + a.T
+        blocks.append(np.sort(part))
+    return mat, sorted(blocks, key=lambda b: b[0])
+
+
+class TestBlockSolve:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(planted_blocks())
+    def test_planted_blocks_are_found_and_solved_apart(self, case):
+        mat, blocks = case
+        found = hamiltonian._components(mat)
+        assert [b.tolist() for b in found] == [b.tolist() for b in blocks]
+        # sector (1, 0) of n_orb = dim orbitals has one determinant per orbital
+        dim = mat.shape[0]
+        with patch.object(hamiltonian, "_sector_matrix", lambda *args: mat.copy()):
+            spec = exact_eigensolve([], 2 * dim, (1, 0))
+        assert_solves(spec, mat)
+        for block in blocks:
+            off = np.setdiff1d(np.arange(dim), block)
+            on_block = spec.eigenvectors[block].any(axis=0)
+            assert on_block.sum() == block.size
+            assert (spec.eigenvectors[np.ix_(off, np.flatnonzero(on_block))] == 0.0).all()
+
+    def test_ties_keep_component_order(self):
+        pair = np.array([[0.0, 1.0], [1.0, 0.0]])
+        top = np.linalg.eigh(pair)[0][1]
+        mat = np.zeros((3, 3))
+        mat[np.ix_([0, 2], [0, 2])] = pair
+        mat[1, 1] = top
+        with patch.object(hamiltonian, "_sector_matrix", lambda *args: mat.copy()):
+            spec = exact_eigensolve([], 6, (1, 0))
+        # rows {0, 2} are the first component, so their copy of `top` comes first
+        assert spec.eigenvalues[1] == spec.eigenvalues[2] == top
+        assert spec.eigenvectors[1].tolist() == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("sector", [(3, 3), (2, 1)])
+    def test_random_six_orbital_sector_matches_dense(self, sector):
+        # ORACLE_CASES covers H2 and random n_orb 3-5 against the loop build
+        terms = _random_terms(6, 46)
+        dets = np.array(enumerate_sector(6, *sector), dtype=np.int64)
+        assert_solves(exact_eigensolve(terms, 12, sector),
+                      hamiltonian._sector_matrix(terms, 12, dets, sector))
+
+    def test_h4_hf_guess_has_no_weight_off_its_component(self):
+        mol = parse_fcidump(FIXTURES / "h4_r1.8.fcidump")
+        terms = build_second_quantized(to_spin_orbitals(mol))
+        spec = exact_eigensolve(terms, 8, (2, 2))
+        found = hamiltonian._components(
+            hamiltonian._sector_matrix(terms, 8, spec.determinants, (2, 2)))
+        assert [b.size for b in found] == [20, 16]
+        hf = hf_determinant(4, 2, 2)
+        row = int(np.searchsorted(spec.determinants, hf.entries[0][0]))
+        touched, other = found if row in found[0] else found[::-1]
+        elsewhere = ~spec.eigenvectors[touched].any(axis=0)
+        assert elsewhere.sum() == other.size
+        decomp = state_decomposition(hf.to_statevector().amplitudes, [spec],
+                                     EvolutionWindow(e_max=5.0, e_min=-4.0))
+        weights = np.array([w for w, *_ in decomp])
+        assert weights[elsewhere].tolist() == [0.0] * other.size
+        assert weights[~elsewhere].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSpectraHelpers:
