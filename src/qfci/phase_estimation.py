@@ -221,31 +221,41 @@ def ipea_a_run(
     """One sampled variant-A run; returns the record and the final
     (collapsed) system state.  A guess the spectra do not cover raises
     MissingSector before any gate.
-    """
-    n_sys = guess.n_qubits
-    readout = n_sys  # readout rides on top of the system bits
-    covered_coefficients(guess.amplitudes, spectra)
 
-    joint = new_register(n_sys + 1)
+    The system register holds only the spectra's determinants, block after
+    block, zero-padded to a power of two; U leaves that span invariant.
+    The readout rides on top of it, and each level after controlled-U
+    applies its feedback rotation and Hadamard as one gate.
+    """
+    covered_coefficients(guess.amplitudes, spectra)
+    dets = np.concatenate([b.determinants for b in spectra])
+    local, start = [], 0  # the blocks indexed by position in the register
+    for b in spectra:
+        local.append(SectorSpectrum(b.sector, b.eigenvalues, b.eigenvectors,
+                                    np.arange(start, start + b.dimension)))
+        start += b.dimension
+    readout = (dets.size - 1).bit_length()
+
+    joint = new_register(readout + 1)
     halves = joint.amplitudes.reshape(2, -1)  # system amplitudes by readout bit
-    halves[0] = guess.amplitudes
+    halves[0, :dets.size] = guess.amplitudes[dets]
 
     v = 0  # bits read so far, level m's as bit 0
     trace: list[float] = []
     for k in range(cfg.m, 0, -1):
         apply_gate(joint, HADAMARD, readout)
-        controlled_u_power_exact(joint, spectra, cfg.window, 1 << (k - 1))
-        apply_gate(joint, rz_phase(_feedback(v, k, cfg.m)), readout)
-        apply_gate(joint, HADAMARD, readout)
+        controlled_u_power_exact(joint, local, cfg.window, 1 << (k - 1))
+        apply_gate(joint, HADAMARD @ rz_phase(_feedback(v, k, cfg.m)), readout)
         bit, _ = measure_qubit(joint, readout, rng)
         v |= bit << (cfg.m - k)
         if track_overlaps:  # the largest |<u|psi>|^2 of the collapsed system
-            trace.append(max(squared_moduli(eigen_coefficients(halves[bit], spectra)[0])))
+            trace.append(max(squared_moduli(eigen_coefficients(halves[bit], local)[0])))
         if bit:  # reset the readout to |0>
             halves[0] = halves[1]
             halves[1] = 0.0
 
-    final = StateVector(n_sys, halves[0].copy())
+    final = StateVector(guess.n_qubits, np.zeros(guess.amplitudes.size, dtype=np.complex128))
+    final.amplitudes[dets] = halves[0, :dets.size]
     bits = PhaseBits.from_outcome(v, cfg.m)
     record = OutcomeRecord(
         bits=bits,

@@ -66,14 +66,15 @@ def apply_gate(state: StateVector, gate: np.ndarray, target: int) -> StateVector
     if gate.shape != (2, 2):
         raise ValueError(f"a gate is a 2x2 matrix, got shape {gate.shape}")
     s0, s1 = _target_slices(state, target)
-    if gate[0, 1] == 0 and gate[1, 0] == 0:
-        if gate[0, 0] != 1:  # rz_phase leaves the 0 half as it is
-            s0 *= gate[0, 0]
-        s1 *= gate[1, 1]
+    (g00, g01), (g10, g11) = gate.tolist()
+    if g01 == 0 and g10 == 0:
+        if g00 != 1:  # rz_phase leaves the 0 half as it is
+            s0 *= g00
+        s1 *= g11
     else:
         a0 = s0.copy()
-        s0[...] = gate[0, 0] * a0 + gate[0, 1] * s1
-        s1[...] = gate[1, 0] * a0 + gate[1, 1] * s1
+        s0[...] = g00 * a0 + g01 * s1
+        s1[...] = g10 * a0 + g11 * s1
     return state
 
 
@@ -81,8 +82,8 @@ def measure_qubit(state: StateVector, qubit: int,
                   rng: np.random.Generator) -> tuple[int, StateVector]:
     """Projective measurement; collapses and renormalizes in place."""
     s0, s1 = _target_slices(state, qubit)
-    p0 = float(np.sum(np.abs(s0) ** 2))
-    p1 = float(np.sum(np.abs(s1) ** 2))
+    p0 = float(np.vdot(s0, s0).real)
+    p1 = float(np.vdot(s1, s1).real)
     if max(p0, p1) < 1e-15:
         raise DegenerateState(f"qubit {qubit}: both branch norms below 1e-15")
     outcome = 1 if rng.random() * (p0 + p1) < p1 else 0

@@ -13,7 +13,14 @@ import numpy as np
 from qfci.hamiltonian import FermionTerm, PauliOperator, PauliString
 from qfci.phase_estimation import PhaseBits
 from qfci.propagator import controlled_u_power_exact
-from qfci.statevector import HADAMARD, apply_gate, measure_qubit, new_register, rz_phase
+from qfci.statevector import (
+    HADAMARD,
+    StateVector,
+    apply_gate,
+    measure_qubit,
+    new_register,
+    rz_phase,
+)
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -147,6 +154,34 @@ def ipea_b_run_gate_level(guess, spectra, cfg, rng):
         later.insert(0, int(ones > reps // 2))
         ones_per_bit.insert(0, ones)
     return PhaseBits(tuple(later)).outcome, tuple(ones_per_bit)
+
+
+def ipea_a_run_full_register(guess, spectra, cfg, rng):
+    """One variant-A run simulated gate by gate on the full joint register.
+
+    The readout rides on top of all n system qubits, so the register has
+    n + 1 qubits whatever the spectra.  Every level applies H,
+    controlled-U^(2^(k-1)), Rz(omega_k) and H to the readout as separate
+    gates, measures it and resets it to |0>.  Returns the outcome integer
+    and the final system state.
+    """
+    n = guess.n_qubits
+    joint = new_register(n + 1)
+    halves = joint.amplitudes.reshape(2, -1)
+    halves[0] = guess.amplitudes
+    later = []
+    for k in range(cfg.m, 0, -1):
+        omega = -sum(bit * 0.5 ** (j + 2) for j, bit in enumerate(later))
+        apply_gate(joint, HADAMARD, n)
+        controlled_u_power_exact(joint, spectra, cfg.window, 1 << (k - 1))
+        apply_gate(joint, rz_phase(omega), n)
+        apply_gate(joint, HADAMARD, n)
+        bit = measure_qubit(joint, n, rng)[0]
+        if bit:
+            halves[0] = halves[1]
+            halves[1] = 0.0
+        later.insert(0, bit)
+    return PhaseBits(tuple(later)).outcome, StateVector(n, halves[0].copy())
 
 
 def sector_matrix_by_loop(terms, n_so: int, sector) -> np.ndarray:

@@ -4,14 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qfci.phase_estimation as phase_estimation
+import qfci.statevector as statevector
 from qfci.errors import (
     CapExceeded,
     DimensionMismatch,
     MissingSector,
     WeightNormalization,
 )
-from qfci.guess import hf_determinant, random_sector_state
-from qfci.hamiltonian import FermionTerm, exact_eigensolve
+from qfci.guess import hf_determinant, load_amplitude_guess, random_sector_state
+from qfci.hamiltonian import (
+    FermionTerm,
+    SectorSpectrum,
+    build_second_quantized,
+    exact_eigensolve,
+)
+from qfci.integrals import parse_fcidump, to_spin_orbitals
 from qfci.phase_estimation import (
     IpeaConfig,
     PhaseBits,
@@ -30,7 +37,8 @@ from qfci.phase_estimation import (
 from qfci.propagator import EvolutionWindow, controlled_u_power_exact, u_power_exact
 from qfci.statevector import HADAMARD, StateVector, apply_gate, new_register, rz_phase
 
-from tests.oracles import b_success_by_dict, ipea_b_run_gate_level
+from tests.conftest import FIXTURES
+from tests.oracles import b_success_by_dict, ipea_a_run_full_register, ipea_b_run_gate_level
 
 EIGHT_OVER_PI_SQ = 8.0 / np.pi**2
 
@@ -281,8 +289,13 @@ class TestIpeaVariantA:
                                                      window):
         # each entry is the largest state_decomposition weight of the branch the
         # register collapsed to, bit for bit: squaring numpy's array abs
-        # differs in the last bit for about a third of the coefficients
+        # differs in the last bit for about a third of the coefficients.  The
+        # register holds the block's determinants by position, so the branch
+        # is read against the block re-indexed onto positions 0..dim-1
         branches = []
+        by_position = SectorSpectrum(h2_spectrum_11.sector, h2_spectrum_11.eigenvalues,
+                                     h2_spectrum_11.eigenvectors,
+                                     np.arange(h2_spectrum_11.dimension))
         measure = phase_estimation.measure_qubit
 
         def recording(joint, qubit, rng):
@@ -296,7 +309,7 @@ class TestIpeaVariantA:
         rec, _ = ipea_a_run(guess, [h2_spectrum_11], cfg, np.random.default_rng(5),
                             track_overlaps=True)
         assert rec.overlap_trace == tuple(
-            max(w for w, *_ in state_decomposition(branch, [h2_spectrum_11], window))
+            max(w for w, *_ in state_decomposition(branch, [by_position], window))
             for branch in branches[:cfg.m]
         )
 
@@ -306,6 +319,70 @@ class TestIpeaVariantA:
         with pytest.raises(MissingSector):
             ipea_a_run(sv, [h2_spectrum_11], IpeaConfig(window=window, m=2),
                        np.random.default_rng(0))
+
+
+@pytest.fixture(scope="module")
+def h4_system():
+    mol = parse_fcidump(FIXTURES / "h4_r1.8.fcidump")
+    soi = to_spin_orbitals(mol)
+    terms = build_second_quantized(soi)
+    spectra = {s: exact_eigensolve(terms, soi.n_so, s) for s in [(2, 2), (3, 1)]}
+    return mol.n_orb, spectra, EvolutionWindow(e_max=5.0, e_min=-4.0)
+
+
+def _system(name, h2_spectrum_11, window, h4_system):
+    if name == "h2":
+        return 2, {(1, 1): h2_spectrum_11}, window
+    return h4_system
+
+
+class TestVariantAFullRegisterOracle:
+    """The sector-sized register against the full n + 1 qubit register."""
+
+    def _common_random_numbers(self, guess, spectra, cfg, seed, runs=300):
+        rng, rng_full = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(runs):
+            rec, final = ipea_a_run(guess, spectra, cfg, rng)
+            outcome, final_full = ipea_a_run_full_register(guess, spectra, cfg, rng_full)
+            assert rec.bits.outcome == outcome
+            np.testing.assert_allclose(final.amplitudes, final_full.amplitudes,
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [10, 20])
+    @pytest.mark.parametrize("kind", ["hf", "random"])
+    @pytest.mark.parametrize("name", ["h2", "h4"])
+    def test_same_outcomes_and_final_states(self, name, kind, m, h2_spectrum_11, window,
+                                            h4_system):
+        n_orb, spectra, win = _system(name, h2_spectrum_11, window, h4_system)
+        sector = (n_orb // 2, n_orb // 2)
+        if kind == "hf":
+            guess = hf_determinant(n_orb, *sector)
+        else:
+            guess = random_sector_state(n_orb, sector, np.random.default_rng(m))
+        self._common_random_numbers(guess.to_statevector(), [spectra[sector]],
+                                    IpeaConfig(window=win, m=m), seed=11)
+
+    def test_amplitude_guess_over_two_sectors(self, tmp_path, h4_system):
+        # 36 + 16 determinants, padded to a 64-amplitude system register
+        n_orb, spectra, win = h4_system
+        path = tmp_path / "two_sectors.amp"
+        path.write_text("0.8 11001100\n0.6 11101000\n")
+        guess = load_amplitude_guess(path)
+        assert guess.sectors == {(2, 2), (3, 1)}
+        self._common_random_numbers(guess.to_statevector(), [spectra[(2, 2)], spectra[(3, 1)]],
+                                    IpeaConfig(window=win, m=10), seed=13)
+
+    def test_register_needs_only_the_sector_qubits(self, monkeypatch, h4_system):
+        # H4 (2,2) has 36 determinants: 1 + 6 qubits fit a cap of the 8 system qubits,
+        # which the full n + 1 qubit register exceeds
+        n_orb, spectra, win = h4_system
+        guess = hf_determinant(n_orb, 2, 2).to_statevector()
+        cfg = IpeaConfig(window=win, m=8)
+        monkeypatch.setattr(statevector, "DEFAULT_QUBIT_CAP", guess.n_qubits)
+        rec, final = ipea_a_run(guess, [spectra[(2, 2)]], cfg, np.random.default_rng(0))
+        assert rec.bits.m == 8 and final.n_qubits == guess.n_qubits
+        with pytest.raises(CapExceeded):
+            ipea_a_run_full_register(guess, [spectra[(2, 2)]], cfg, np.random.default_rng(0))
 
 
 class TestIpeaASuccessProbability:
