@@ -330,8 +330,9 @@ def _evaluate_point(
             sv, spectra, cfg, target, repetition_counts=reps_list
         )
 
+        memo: dict = {}  # one (guess, spectra, cfg): shared by the point's variant-A runs
         if cfg.variant == "A":
-            record, _ = ipea_a_run(sv, spectra, cfg, rng)
+            record, _ = ipea_a_run(sv, spectra, cfg, rng, memo=memo)
         else:
             record = ipea_b_run(sv, spectra, cfg, rng)
 
@@ -354,7 +355,7 @@ def _evaluate_point(
         }
         if search_runs > 0:
             energies = [
-                ipea_a_run(sv, spectra, cfg, rng)[0].energy
+                ipea_a_run(sv, spectra, cfg, rng, memo=memo)[0].energy
                 for _ in range(search_runs)
             ]
             lowest = min(energies)

@@ -38,6 +38,9 @@ MAX_BITS = 52
 # 7.1 float64 arrays of 2^m, and the most it may take
 DISTRIBUTION_BYTES_PER_OUTCOME = 8 * 8
 DISTRIBUTION_BYTE_BUDGET = SECTOR_BYTE_BUDGET
+# Most bytes of joint-register amplitudes an ipea_a_run memo holds; past
+# it, misses are recomputed and not stored
+A_MEMO_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -217,6 +220,8 @@ def ipea_a_run(
     cfg: IpeaConfig,
     rng: np.random.Generator,
     track_overlaps: bool = False,
+    *,
+    memo: dict | None = None,
 ) -> tuple[OutcomeRecord, StateVector]:
     """One sampled variant-A run; returns the record and the final
     (collapsed) system state.  A guess the spectra do not cover raises
@@ -226,6 +231,15 @@ def ipea_a_run(
     block, zero-padded to a power of two; U leaves that span invariant.
     The readout rides on top of it, and each level after controlled-U
     applies its feedback rotation and Hadamard as one gate.
+
+    The readout collapses after every level, so the joint register before
+    level k's measurement depends only on k and the bits v read so far.
+    memo maps (k, v) to those amplitudes: a hit copies them in and skips
+    the level's three gates, a miss runs them and stores a copy while the
+    memo stays within A_MEMO_BYTES.  Every level still measures, drawing
+    one uniform from rng, so a run reads the same bits and returns the
+    same record and final state with or without a memo.  Share a memo
+    only between runs of one (guess, spectra, cfg); None uses a fresh one.
     """
     covered_coefficients(guess.amplitudes, spectra)
     dets = np.concatenate([b.determinants for b in spectra])
@@ -240,12 +254,20 @@ def ipea_a_run(
     halves = joint.amplitudes.reshape(2, -1)  # system amplitudes by readout bit
     halves[0, :dets.size] = guess.amplitudes[dets]
 
+    if memo is None:
+        memo = {}
     v = 0  # bits read so far, level m's as bit 0
     trace: list[float] = []
     for k in range(cfg.m, 0, -1):
-        apply_gate(joint, HADAMARD, readout)
-        controlled_u_power_exact(joint, local, cfg.window, 1 << (k - 1))
-        apply_gate(joint, HADAMARD @ rz_phase(_feedback(v, k, cfg.m)), readout)
+        stored = memo.get((k, v))
+        if stored is not None:
+            joint.amplitudes[...] = stored
+        else:
+            apply_gate(joint, HADAMARD, readout)
+            controlled_u_power_exact(joint, local, cfg.window, 1 << (k - 1))
+            apply_gate(joint, HADAMARD @ rz_phase(_feedback(v, k, cfg.m)), readout)
+            if (len(memo) + 1) * joint.amplitudes.nbytes <= A_MEMO_BYTES:
+                memo[(k, v)] = joint.amplitudes.copy()
         bit, _ = measure_qubit(joint, readout, rng)
         v |= bit << (cfg.m - k)
         if track_overlaps:  # the largest |<u|psi>|^2 of the collapsed system

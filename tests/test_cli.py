@@ -257,6 +257,25 @@ class TestRunCommand:
         assert 1 <= search["multiplicity"] <= 5
         assert -1.5 <= search["min_energy"] <= 1.0
 
+    def test_variant_a_runs_of_a_point_share_one_memo(self, tmp_path, monkeypatch):
+        point = {"fcidump": str(FIXTURES / "h2_sto3g_r1.4011.fcidump"),
+                 "guess": {"kind": "random"}, "sector": [1, 1]}
+        cfg_path = write_config(tmp_path, points=[{**point, "label": "a"},
+                                                  {**point, "label": "b"}])
+        memos = []
+        run = cli.ipea_a_run
+
+        def recording(*args, memo):
+            memos.append(memo)
+            return run(*args, memo=memo)
+
+        monkeypatch.setattr(cli, "ipea_a_run", recording)
+        assert main(["run", "--config", str(cfg_path), "--search-runs", "4"]) == 0
+        assert len(memos) == 10  # per point: the sampled run and four searches
+        first, second = memos[0], memos[5]
+        assert first is not second and first and second
+        assert all(m is first for m in memos[:5]) and all(m is second for m in memos[5:])
+
     def test_electron_count_mismatch_warns(self, tmp_path, capsys):
         cfg_path = write_config(
             tmp_path,

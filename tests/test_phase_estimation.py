@@ -385,6 +385,77 @@ class TestVariantAFullRegisterOracle:
             ipea_a_run_full_register(guess, [spectra[(2, 2)]], cfg, np.random.default_rng(0))
 
 
+class TestVariantAMemo:
+    """Runs that share a memo against the same runs without one."""
+
+    @staticmethod
+    def _guess(case, h2_spectrum_11, window, h4_system, m):
+        name, kind = case
+        n_orb, spectra, win = _system(name, h2_spectrum_11, window, h4_system)
+        sector = (n_orb // 2, n_orb // 2)
+        if kind == "hf":
+            guess = hf_determinant(n_orb, *sector)
+        else:
+            guess = random_sector_state(n_orb, sector, np.random.default_rng(m))
+        return guess.to_statevector(), [spectra[sector]], IpeaConfig(window=win, m=m)
+
+    @pytest.mark.parametrize("m", [10, 20])
+    @pytest.mark.parametrize("case", [("h2", "hf"), ("h2", "random"), ("h4", "hf")])
+    def test_common_random_numbers_give_identical_runs(self, case, m, h2_spectrum_11,
+                                                        window, h4_system):
+        guess, spectra, cfg = self._guess(case, h2_spectrum_11, window, h4_system, m)
+        rng, rng_bare = np.random.default_rng(11), np.random.default_rng(11)
+        memo = {}
+        for _ in range(300):
+            rec, final = ipea_a_run(guess, spectra, cfg, rng, True, memo=memo)
+            bare, final_bare = ipea_a_run(guess, spectra, cfg, rng_bare, True)
+            assert rec == bare  # bits, energy and overlap trace
+            assert final.amplitudes.tobytes() == final_bare.amplitudes.tobytes()
+        assert 0 < len(memo) < 300 * m
+
+    def test_gates_run_once_per_level_and_prefix(self, monkeypatch, h2_spectrum_11,
+                                                 window):
+        calls = {"controlled_u": 0, "measure": 0}
+        propagate, measure = (phase_estimation.controlled_u_power_exact,
+                              phase_estimation.measure_qubit)
+
+        def counting_propagate(*args):
+            calls["controlled_u"] += 1
+            return propagate(*args)
+
+        def counting_measure(*args):
+            calls["measure"] += 1
+            return measure(*args)
+
+        monkeypatch.setattr(phase_estimation, "controlled_u_power_exact",
+                            counting_propagate)
+        monkeypatch.setattr(phase_estimation, "measure_qubit", counting_measure)
+        guess = random_sector_state(2, (1, 1), np.random.default_rng(3)).to_statevector()
+        cfg = IpeaConfig(window=window, m=12)
+        rng, memo, runs = np.random.default_rng(17), {}, 200
+        outcomes = [ipea_a_run(guess, [h2_spectrum_11], cfg, rng, memo=memo)[0].bits.outcome
+                    for _ in range(runs)]
+        # level k runs after the bits of levels m..k+1, the low m - k bits of v
+        pairs = {(k, v & ((1 << (cfg.m - k)) - 1)) for v in outcomes
+                 for k in range(1, cfg.m + 1)}
+        assert calls["controlled_u"] == len(pairs) == len(memo)
+        assert calls["measure"] == runs * cfg.m
+
+    def test_budget_caps_entries_not_outcomes(self, monkeypatch, h2_spectrum_11, window):
+        guess = random_sector_state(2, (1, 1), np.random.default_rng(3)).to_statevector()
+        cfg = IpeaConfig(window=window, m=10)
+        memo = {}
+        ipea_a_run(guess, [h2_spectrum_11], cfg, np.random.default_rng(0), memo=memo)
+        monkeypatch.setattr(phase_estimation, "A_MEMO_BYTES",
+                            next(iter(memo.values())).nbytes)
+        rng, rng_bare, memo = np.random.default_rng(5), np.random.default_rng(5), {}
+        for _ in range(100):
+            rec, _ = ipea_a_run(guess, [h2_spectrum_11], cfg, rng, memo=memo)
+            assert len(memo) <= 1
+            assert rec == ipea_a_run(guess, [h2_spectrum_11], cfg, rng_bare)[0]
+        assert len(memo) == 1
+
+
 class TestIpeaASuccessProbability:
     def test_exact_phase_eigenstate(self):
         sv, spectra, window = diagonal_system(0.25, 1.0, 0.0)
