@@ -26,6 +26,9 @@ from .propagator import EvolutionWindow, controlled_u_power_exact
 from .statevector import (
     HADAMARD,
     StateVector,
+    _branch_norms,
+    _collapse,
+    _draw,
     apply_gate,
     measure_qubit,
     new_register,
@@ -234,11 +237,16 @@ def ipea_a_run(
 
     The readout collapses after every level, so the joint register before
     level k's measurement depends only on k and the bits v read so far.
-    memo maps (k, v) to those amplitudes: a hit copies them in and skips
-    the level's three gates, a miss runs them and stores a copy while the
-    memo stays within A_MEMO_BYTES.  Every level still measures, drawing
-    one uniform from rng, so a run reads the same bits and returns the
-    same record and final state with or without a memo.  Share a memo
+    memo maps (k, v) to (amplitudes, p0, p1): that register and the
+    readout's two branch norms, which the node's first hit computes from
+    the stored amplitudes.  A miss runs the level's three gates, stores a
+    copy while the memo stays within A_MEMO_BYTES and calls measure_qubit.
+    A hit draws its bit from the stored norms by measure_qubit's own rule
+    and leaves the register alone; the collapsed level is written into it
+    only before the next miss's gates, at every level when track_overlaps
+    is set, and before the final state is formed.  Every level draws one
+    uniform from rng either way, so a run reads the same bits and returns
+    the same record and final state with or without a memo.  Share a memo
     only between runs of one (guess, spectra, cfg); None uses a fresh one.
     """
     covered_coefficients(guess.amplitudes, spectra)
@@ -254,27 +262,49 @@ def ipea_a_run(
     halves = joint.amplitudes.reshape(2, -1)  # system amplitudes by readout bit
     halves[0, :dets.size] = guess.amplitudes[dets]
 
+    def reset(bit: int) -> None:  # the readout back to |0>
+        if bit:
+            halves[0] = halves[1]
+            halves[1] = 0.0
+
+    def settle() -> None:  # a pending hit's collapsed level into the register
+        nonlocal pending
+        if pending is not None:
+            stored, bit, p = pending
+            joint.amplitudes[...] = stored
+            _collapse(joint, readout, bit, p)
+            reset(bit)
+            pending = None
+
     if memo is None:
         memo = {}
     v = 0  # bits read so far, level m's as bit 0
+    pending = None  # a hit's (amplitudes, bit, branch norm) not yet in the register
     trace: list[float] = []
     for k in range(cfg.m, 0, -1):
-        stored = memo.get((k, v))
-        if stored is not None:
-            joint.amplitudes[...] = stored
-        else:
+        entry = memo.get((k, v))
+        if entry is None:
+            settle()
             apply_gate(joint, HADAMARD, readout)
             controlled_u_power_exact(joint, local, cfg.window, 1 << (k - 1))
             apply_gate(joint, HADAMARD @ rz_phase(_feedback(v, k, cfg.m)), readout)
             if (len(memo) + 1) * joint.amplitudes.nbytes <= A_MEMO_BYTES:
-                memo[(k, v)] = joint.amplitudes.copy()
-        bit, _ = measure_qubit(joint, readout, rng)
+                memo[(k, v)] = (joint.amplitudes.copy(), None, None)
+            bit, _ = measure_qubit(joint, readout, rng)
+            reset(bit)
+        else:
+            stored, p0, p1 = entry
+            if p0 is None:
+                p0, p1 = _branch_norms(StateVector(joint.n_qubits, stored), readout)
+                memo[(k, v)] = (stored, p0, p1)
+            bit = _draw(p0, p1, rng)
+            pending = (stored, bit, p1 if bit else p0)
+            if track_overlaps:
+                settle()
         v |= bit << (cfg.m - k)
         if track_overlaps:  # the largest |<u|psi>|^2 of the collapsed system
-            trace.append(max(squared_moduli(eigen_coefficients(halves[bit], local)[0])))
-        if bit:  # reset the readout to |0>
-            halves[0] = halves[1]
-            halves[1] = 0.0
+            trace.append(max(squared_moduli(eigen_coefficients(halves[0], local)[0])))
+    settle()
 
     final = StateVector(guess.n_qubits, np.zeros(guess.amplitudes.size, dtype=np.complex128))
     final.amplitudes[dets] = halves[0, :dets.size]

@@ -78,19 +78,33 @@ def apply_gate(state: StateVector, gate: np.ndarray, target: int) -> StateVector
     return state
 
 
-def measure_qubit(state: StateVector, qubit: int,
-                  rng: np.random.Generator) -> tuple[int, StateVector]:
-    """Projective measurement; collapses and renormalizes in place."""
+def _branch_norms(state: StateVector, qubit: int) -> tuple[float, float]:
+    """(p0, p1), the squared norms of the qubit's 0 and 1 halves."""
     s0, s1 = _target_slices(state, qubit)
     p0 = float(np.vdot(s0, s0).real)
     p1 = float(np.vdot(s1, s1).real)
     if max(p0, p1) < 1e-15:
         raise DegenerateState(f"qubit {qubit}: both branch norms below 1e-15")
-    outcome = 1 if rng.random() * (p0 + p1) < p1 else 0
-    if outcome:
-        s0[...] = 0.0
-        s1 /= np.sqrt(p1)
-    else:
-        s1[...] = 0.0
-        s0 /= np.sqrt(p0)
+    return p0, p1
+
+
+def _draw(p0: float, p1: float, rng: np.random.Generator) -> int:
+    """The outcome one uniform from rng picks for branch norms (p0, p1)."""
+    return 1 if rng.random() * (p0 + p1) < p1 else 0
+
+
+def _collapse(state: StateVector, qubit: int, outcome: int, p: float) -> None:
+    """Zero the other half and divide the outcome's half by sqrt(p), its norm."""
+    s0, s1 = _target_slices(state, qubit)
+    kept, dropped = (s1, s0) if outcome else (s0, s1)
+    dropped[...] = 0.0
+    kept /= np.sqrt(p)
+
+
+def measure_qubit(state: StateVector, qubit: int,
+                  rng: np.random.Generator) -> tuple[int, StateVector]:
+    """Projective measurement; collapses and renormalizes in place."""
+    p0, p1 = _branch_norms(state, qubit)
+    outcome = _draw(p0, p1, rng)
+    _collapse(state, qubit, outcome, p1 if outcome else p0)
     return outcome, state

@@ -9,9 +9,10 @@ sampled cells (`sampled_energy`, `sampled_outcome`, everything under
 Usage from the repository root, after a change that moves outputs on
 purpose:
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py [case ...]
 
-rewrites the files and prints the largest move per column.
+rewrites the files of the named cases (all of them when none is named)
+and prints the largest move per column.
 """
 from __future__ import annotations
 
@@ -31,6 +32,8 @@ CASES = {
     "h2_A": ("run", "--config", str(H2_CONFIG), "--variant", "A", "--search-runs", "5"),
     "h2_B": ("run", "--config", str(H2_CONFIG), "--variant", "B"),
     "h4": ("run", "--config", str(H4_CONFIG)),
+    "h4_search": ("run", "--config", str(H4_CONFIG), "--variant", "B", "--bits", "20",
+                  "--search-runs", "300"),
     "scaling": ("scaling", "--sizes", "4,6,8"),
 }
 FLOAT_TOL = 1e-12
@@ -131,9 +134,13 @@ def compare(case: str, csv_text: str, json_text: str) -> list[str]:
     return problems
 
 
-def main() -> int:
+def main(cases: list[str]) -> int:
+    unknown = sorted(set(cases) - set(CASES))
+    if unknown:
+        print(f"unknown case(s) {', '.join(unknown)}; known: {', '.join(CASES)}")
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
-        for case in CASES:
+        for case in cases or CASES:
             csv_text, json_text = run(case, Path(tmp))
             if (HERE / f"{case}.csv").exists() and (HERE / f"{case}.json").exists():
                 moves: dict[tuple[str, str], float | str] = {}
@@ -154,4 +161,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

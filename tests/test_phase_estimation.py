@@ -438,8 +438,8 @@ class TestVariantAMemo:
         # level k runs after the bits of levels m..k+1, the low m - k bits of v
         pairs = {(k, v & ((1 << (cfg.m - k)) - 1)) for v in outcomes
                  for k in range(1, cfg.m + 1)}
-        assert calls["controlled_u"] == len(pairs) == len(memo)
-        assert calls["measure"] == runs * cfg.m
+        # only a miss measures; a hit draws its bit from the stored branch norms
+        assert calls["controlled_u"] == calls["measure"] == len(pairs) == len(memo)
 
     def test_budget_caps_entries_not_outcomes(self, monkeypatch, h2_spectrum_11, window):
         guess = random_sector_state(2, (1, 1), np.random.default_rng(3)).to_statevector()
@@ -447,13 +447,86 @@ class TestVariantAMemo:
         memo = {}
         ipea_a_run(guess, [h2_spectrum_11], cfg, np.random.default_rng(0), memo=memo)
         monkeypatch.setattr(phase_estimation, "A_MEMO_BYTES",
-                            next(iter(memo.values())).nbytes)
+                            next(iter(memo.values()))[0].nbytes)
         rng, rng_bare, memo = np.random.default_rng(5), np.random.default_rng(5), {}
         for _ in range(100):
             rec, _ = ipea_a_run(guess, [h2_spectrum_11], cfg, rng, memo=memo)
             assert len(memo) <= 1
             assert rec == ipea_a_run(guess, [h2_spectrum_11], cfg, rng_bare)[0]
         assert len(memo) == 1
+
+
+    @pytest.mark.parametrize("track", [False, True])
+    def test_warm_memo_replay_runs_no_gates(self, track, monkeypatch, h2_spectrum_11,
+                                            window, h4_system):
+        guess, spectra, cfg = self._guess(("h4", "random"), h2_spectrum_11, window,
+                                          h4_system, 12)
+        memo, runs = {}, 300
+        warm = np.random.default_rng(23)
+        for _ in range(runs):
+            ipea_a_run(guess, spectra, cfg, warm, track, memo=memo)
+        bare_rng = np.random.default_rng(23)
+        bare = [ipea_a_run(guess, spectra, cfg, bare_rng, track) for _ in range(runs)]
+
+        calls = []
+        for name in ("controlled_u_power_exact", "apply_gate", "measure_qubit"):
+            monkeypatch.setattr(phase_estimation, name,
+                                lambda *args, name=name: calls.append(name))
+        rng = np.random.default_rng(23)
+        for rec_bare, final_bare in bare:
+            rec, final = ipea_a_run(guess, spectra, cfg, rng, track, memo=memo)
+            assert rec == rec_bare  # bits, energy and overlap trace
+            assert final.amplitudes.tobytes() == final_bare.amplitudes.tobytes()
+        assert calls == []
+
+    @pytest.mark.parametrize("amplitudes", [
+        (1.0, 0.0),  # p1 = 0
+        (0.0, 1.0),  # p0 = 0
+        (0.6, 0.8j),
+        (np.sqrt(1 / 3), np.sqrt(2 / 3)),
+    ])
+    def test_hit_rule_reads_measure_qubit_bit_at_threshold(self, amplitudes):
+        sv = StateVector(2, np.array([amplitudes[0], 0.0, amplitudes[1], 0.0], complex))
+        p0, p1 = statevector._branch_norms(sv, 1)
+        for u in _threshold_uniforms(p0, p1):
+            hit = statevector._draw(p0, p1, _Uniforms(u))
+            bit, _ = statevector.measure_qubit(sv.copy(), 1, _Uniforms(u))
+            assert hit == bit, u
+
+    def test_hit_reads_the_bit_a_miss_reads(self, h2_spectrum_11, window):
+        # m = 1: a run with a fresh memo misses its one level and measures;
+        # one with a warm memo hits and draws from the stored norms
+        guess = random_sector_state(2, (1, 1), np.random.default_rng(3)).to_statevector()
+        cfg, memo = IpeaConfig(window=window, m=1), {}
+        for _ in range(2):  # the miss stores the level, the first hit adds its norms
+            ipea_a_run(guess, [h2_spectrum_11], cfg, _Uniforms(0.5), memo=memo)
+        _, p0, p1 = memo[(1, 0)]
+        bits = set()
+        for u in _threshold_uniforms(p0, p1):
+            rec, final = ipea_a_run(guess, [h2_spectrum_11], cfg, _Uniforms(u), memo=memo)
+            rec_miss, final_miss = ipea_a_run(guess, [h2_spectrum_11], cfg, _Uniforms(u))
+            assert rec == rec_miss, u
+            assert final.amplitudes.tobytes() == final_miss.amplitudes.tobytes()
+            bits.add(rec.bits.outcome)
+        assert bits == {0, 1}
+
+
+class _Uniforms:
+    """Generator stand-in whose random() returns the given uniforms in turn."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+def _threshold_uniforms(p0, p1):
+    """Uniforms in [0, 1) at and beside p1 / (p0 + p1), where the bit flips."""
+    t = p1 / (p0 + p1)
+    grid = {0.0, np.nextafter(0.0, 1.0), 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0),
+            t, np.nextafter(t, 0.0), np.nextafter(t, 1.0)}
+    return sorted(float(u) for u in grid if 0.0 <= u < 1.0)
 
 
 class TestIpeaASuccessProbability:
