@@ -339,23 +339,33 @@ def ipea_a_success_probability(
 # -- variant B ------------------------------------------------------------
 
 
-def _majority_tail(reps: int, p):
-    """P[Binomial(reps, p) reaches a strict majority], reps odd; p may be an array.
+def _majority_tails(counts, p) -> list[np.ndarray]:
+    """P[Binomial(n, p) reaches a strict majority] for each odd n in counts,
+    in counts' order; p may be an array.
 
-    Homogeneous Horner in (p, q) over j = reps down to need = reps//2 + 1:
-    sum_j C(reps, j) p^j q^(reps-j) = p^need * sum_j C(reps, j) p^(j-need) q^(reps-j).
+    One pass over n = 2k+1 up to max(counts) of P_{2k+3} = P_{2k+1} + (p - q) c_k,
+    c_k = C(2k+1, k) (pq)^(k+1), c_0 = pq, c_{k+1} = c_k 2(2k+3)/(k+2) pq.
+    c_k <= 1/4, so no count overflows.  The tails are accurate in absolute
+    terms (about 2e-15), so they can round just outside [0, 1]; they are clipped.
     """
-    need = reps // 2 + 1
     p = np.asarray(p, dtype=float)
     q = 1.0 - p
-    acc = np.ones_like(p)
-    q_pow = np.ones_like(p)
-    for j in range(reps - 1, need - 1, -1):
-        acc *= p
-        q_pow *= q
-        acc += float(math.comb(reps, j)) * q_pow
-    acc *= p**need
-    return acc if acc.ndim else float(acc)
+    pq, drift = p * q, p - q
+    kept = dict.fromkeys(counts)
+    tail, c = p.copy(), pq.copy()
+    for k in range(max(counts) // 2 + 1):
+        if 2 * k + 1 in kept:
+            kept[2 * k + 1] = np.clip(tail, 0.0, 1.0)
+        tail += drift * c
+        c *= pq
+        c *= 2.0 * (2 * k + 3) / (k + 2)
+    return [kept[n] for n in counts]
+
+
+def _majority_tail(reps: int, p):
+    """P[Binomial(reps, p) reaches a strict majority], reps odd; p may be an array."""
+    tail = _majority_tails((reps,), p)[0]
+    return tail if tail.ndim else float(tail)
 
 
 def _one_probability(weights: np.ndarray, phases: np.ndarray, k: int, angle):
@@ -447,13 +457,12 @@ def _level_probabilities(weights: np.ndarray, phases: np.ndarray, m: int,
         for i in range(m)])
 
 
-def _path_product(one: np.ndarray, reps: int, outcomes: np.ndarray) -> np.ndarray:
-    """Each outcome's path mass at reps repetitions from _level_probabilities'
-    array: an outcome has one history, so its mass is the product of its bits'
-    majority probabilities.  A tail rounded a few ulp past 1 leaves its complement at 0."""
-    q1 = _majority_tail(reps, one)
-    factor = np.where((outcomes >> np.arange(one.shape[0])[:, None]) & 1, q1, 1.0 - q1)
-    return np.multiply.reduce(np.maximum(factor, 0.0), axis=0)
+def _path_product(tail: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """Each outcome's path mass from the majority tails of _level_probabilities'
+    array at one repetition count: an outcome has one history, so its mass is
+    the product of its bits' majority probabilities."""
+    factor = np.where((outcomes >> np.arange(tail.shape[0])[:, None]) & 1, tail, 1.0 - tail)
+    return np.multiply.reduce(factor, axis=0)
 
 
 def ipea_b_success_probability(
@@ -482,7 +491,8 @@ def ipea_b_success_probability(
     outcomes = np.array([b_down, (b_down + 1) % (1 << cfg.m)], dtype=np.int64)
     one = _level_probabilities(weights, phases, cfg.m, outcomes)
     probs = tuple(min(float(mass[0] + mass[1]), 1.0)
-                  for mass in (_path_product(one, r, outcomes) for r in counts))
+                  for mass in (_path_product(t, outcomes)
+                               for t in _majority_tails(counts, one)))
     result = probs[0] if single else probs
     if return_detail:
         return result, BSuccessDetail(result, 0.0, 2)

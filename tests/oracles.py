@@ -6,6 +6,7 @@ register simulation) and deliberately shares no code with the package
 internals it validates.
 """
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -83,6 +84,20 @@ def dense_s_squared(n_orb: int) -> np.ndarray:
         n_b = dense_ladder(n, n_orb + p, True) @ dense_ladder(n, n_orb + p, False)
         s_z += 0.5 * (n_a - n_b)
     return s_plus.conj().T @ s_plus + s_z @ (s_z + np.eye(dim))
+
+
+def majority_tail_exact(n: int, p: float) -> Fraction:
+    """P[Binomial(n, p) > n/2] as an exact rational, for n odd and a float p.
+
+    p is the dyadic rational a/d; the integer sum of C(n, r) a^r (d-a)^(n-r)
+    over r = n//2+1 .. n runs by Horner in a, then divides by d^n once.
+    """
+    a, d = p.as_integer_ratio()
+    acc, b_pow = 0, 1
+    for r in range(n, n // 2, -1):
+        acc = acc * a + math.comb(n, r) * b_pow
+        b_pow *= d - a
+    return Fraction(acc * a ** (n // 2 + 1), d**n)
 
 
 def b_success_by_dict(weights, m: int, reps: int, b_down: int, b_up: int,

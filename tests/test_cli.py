@@ -375,21 +375,31 @@ class TestRunCommand:
         assert "odd" in capsys.readouterr().err
 
     def test_repetition_count_past_the_limit_rejected(self, tmp_path, capsys):
-        # the majority tail of 1031 repetitions overflows float64
-        cfg_path = write_config(tmp_path, repetition_counts=[3, 1031])
+        # the majority tails run one pass up to the largest count, and a JSON
+        # integer has no upper bound
+        cfg_path = write_config(tmp_path, repetition_counts=[3, 100003])
         assert main(["run", "--config", str(cfg_path)]) == 2
         cfg_path = write_config(tmp_path)
-        assert main(["run", "--config", str(cfg_path), "--reps", "1031"]) == 2
+        assert main(["run", "--config", str(cfg_path), "--reps", "100003"]) == 2
+        for reps in (100003, 10**21 + 1):
+            cfg_path = write_config(tmp_path, ipea={
+                "e_max": 1.0, "e_min": -1.5, "bits": 12, "seed": 7, "repetitions_per_bit": reps})
+            assert main(["run", "--config", str(cfg_path), "--variant", "B"]) == 2
         lines = capsys.readouterr().err.splitlines()
-        assert lines == ["error: repetition counts must be at most 1029, got 1031"] * 2
+        assert lines == [
+            "error: repetition_counts must be odd and in 1..100001, got 100003",
+            "error: repetition_counts must be odd and in 1..100001, got 100003",
+            "error: ipea.repetitions_per_bit must be odd and in 1..100001, got 100003",
+            f"error: ipea.repetitions_per_bit must be odd and in 1..100001, got {10**21 + 1}",
+        ]
         assert not (tmp_path / "scan.csv").exists()
 
     def test_largest_repetition_count_runs(self, tmp_path):
-        cfg_path = write_config(tmp_path, repetition_counts=[1029])
+        cfg_path = write_config(tmp_path, repetition_counts=[100001])
         assert main(["run", "--config", str(cfg_path)]) == 0
         (row,) = read_rows(tmp_path / "scan.csv")
         assert row["error"] == ""
-        assert 0.0 < float(row["b_success_r1029"]) <= 1.0
+        assert 0.0 < float(row["b_success_r100001"]) <= 1.0
 
     @pytest.mark.parametrize("counts", [[11, 11], [31, 11, 51, 11]])
     def test_repeated_repetition_count_rejected(self, counts, tmp_path, capsys):
@@ -430,9 +440,11 @@ class TestRunCommand:
 
     def test_malformed_json_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "scan_config.json"
-        cfg_path.write_text('{"ipea": {"e_max": 1.0,', encoding="utf-8")
-        assert main(["run", "--config", str(cfg_path)]) == 2
-        assert "malformed JSON" in capsys.readouterr().err
+        # a truncated file, and an integer past Python's 4300-digit limit
+        for text in ('{"ipea": {"e_max": 1.0,', '{"repetition_counts": [' + "1" * 5001 + "]}"):
+            cfg_path.write_text(text, encoding="utf-8")
+            assert main(["run", "--config", str(cfg_path)]) == 2
+            assert "malformed JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where, value", MALFORMED_VALUES,
                              ids=[f"{'.'.join(map(str, w)) or 'top'}={json.dumps(v)}"

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from qfci.phase_estimation import (
     PhaseBits,
     _feedback,
     _majority_tail,
+    _majority_tails,
     bit_probability,
     ipea_a_run,
     ipea_a_success_probability,
@@ -38,7 +41,12 @@ from qfci.propagator import EvolutionWindow, controlled_u_power_exact, u_power_e
 from qfci.statevector import HADAMARD, StateVector, apply_gate, new_register, rz_phase
 
 from tests.conftest import FIXTURES
-from tests.oracles import b_success_by_dict, ipea_a_run_full_register, ipea_b_run_gate_level
+from tests.oracles import (
+    b_success_by_dict,
+    ipea_a_run_full_register,
+    ipea_b_run_gate_level,
+    majority_tail_exact,
+)
 
 EIGHT_OVER_PI_SQ = 8.0 / np.pi**2
 
@@ -563,6 +571,38 @@ class TestIpeaASuccessProbability:
             ipea_a_success_probability(h2_hf_state, [h2_spectrum_11], cfg, (3, 0))
 
 
+TAIL_PROBABILITIES = (0.01, 0.1, 0.3, 0.49, 0.5, 0.51, 0.75, 0.99)
+TAIL_COUNTS = (1, 3, 11, 51, 101, 1029, 1031)
+
+
+class TestMajorityTails:
+    def test_matches_exact_binomial_sums(self):
+        tails = _majority_tails(TAIL_COUNTS, np.array(TAIL_PROBABILITIES))
+        for n, tail in zip(TAIL_COUNTS, tails):
+            for p, got in zip(TAIL_PROBABILITIES, tail.tolist()):
+                err = float(abs(Fraction(got) - majority_tail_exact(n, p)))
+                assert err <= 3e-15, (n, p)
+                assert 0.0 <= got <= 1.0
+
+    def test_exact_at_zero_half_and_one(self):
+        counts = TAIL_COUNTS + (10001,)
+        for tail in _majority_tails(counts, np.array([0.0, 0.5, 1.0])):
+            assert tail.tolist() == [0.0, 0.5, 1.0]
+
+    def test_complement_symmetry(self):
+        p = np.array(TAIL_PROBABILITIES)
+        for up, down in zip(_majority_tails(TAIL_COUNTS, p),
+                            _majority_tails(TAIL_COUNTS, 1.0 - p)):
+            assert np.max(np.abs(up + down - 1.0)) <= 3e-15
+
+    def test_one_pass_matches_per_count_calls(self):
+        p = np.random.default_rng(4).random((12, 2))
+        counts = (101, 11, 1031, 31, 11)
+        for n, tail in zip(counts, _majority_tails(counts, p)):
+            assert tail.tobytes() == _majority_tails((n,), p)[0].tobytes()
+            assert tail.tobytes() == _majority_tail(n, p).tobytes()
+
+
 class TestIpeaVariantB:
     def test_exact_eigenstate_single_repetition(self):
         sv, spectra, window = diagonal_system(0.25, 1.0, 0.0)
@@ -717,8 +757,9 @@ class TestIpeaVariantB:
         assert abs(p - p_ref) <= 1e-14
         w, ph = np.array(weights).T
         outcomes = np.arange(1 << m)
-        masses = phase_estimation._path_product(
-            phase_estimation._level_probabilities(w, ph, m, outcomes), reps, outcomes)
+        (tail,) = phase_estimation._majority_tails(
+            (reps,), phase_estimation._level_probabilities(w, ph, m, outcomes))
+        masses = phase_estimation._path_product(tail, outcomes)
         assert abs(masses.sum() - 1.0) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
