@@ -30,7 +30,6 @@ from .hamiltonian import (
     PauliOperator,
     PauliString,
     SectorSpectrum,
-    apply_operator,
     build_second_quantized,
     enumerate_sector,
     exact_eigensolve,
@@ -61,14 +60,12 @@ from .propagator import (
     EvolutionWindow,
     TrotterPlan,
     controlled_u_power_exact,
-    recommend_slices,
     trotter_u,
     u_power_exact,
 )
 from .resources import (
     GateCounts,
     count_controlled_u,
-    count_u,
     fci_dimension,
     fitted_exponent,
 )
@@ -89,7 +86,7 @@ __all__ = [
     "GuessState", "hf_determinant", "load_amplitude_guess", "open_shell_csf",
     "random_sector_state", "write_amplitude_guess",
     "FermionTerm", "FermionTerms", "PauliOperator", "PauliString", "SectorSpectrum",
-    "apply_operator", "build_second_quantized",
+    "build_second_quantized",
     "enumerate_sector", "exact_eigensolve", "jordan_wigner", "sector_of",
     "MolecularIntegrals", "SpinOrbitalIntegrals", "parse_fcidump",
     "random_molecular_integrals", "to_spin_orbitals",
@@ -97,8 +94,8 @@ __all__ = [
     "ipea_a_success_probability", "ipea_b_run", "ipea_b_success_probability",
     "pea_distribution", "rounding_masses", "sample_b_outcomes",
     "EvolutionWindow", "TrotterPlan", "controlled_u_power_exact",
-    "recommend_slices", "trotter_u", "u_power_exact",
-    "GateCounts", "count_controlled_u", "count_u", "fci_dimension", "fitted_exponent",
+    "trotter_u", "u_power_exact",
+    "GateCounts", "count_controlled_u", "fci_dimension", "fitted_exponent",
     "StateVector", "apply_gate", "measure_qubit", "new_register",
     "__version__",
 ]

@@ -25,14 +25,13 @@ class GuessState:
     """Sparse register state: (determinant bitmask, amplitude) entries.
 
     Entries are normalized, exact zeros dropped; sectors is the set of
-    (n_alpha, n_beta) sectors they populate, one unless multi_sector is set
-    (amplitude files may mix sectors).
+    (n_alpha, n_beta) sectors they populate (amplitude files may mix
+    sectors).
     """
 
     n_qubits: int
     entries: tuple[tuple[int, complex], ...]
     label: str = ""
-    multi_sector: bool = False
 
     def __post_init__(self):
         self.entries = tuple((m, a) for m, a in self.entries if a != 0)
@@ -40,11 +39,6 @@ class GuessState:
         if not abs(norm2 - 1.0) <= 1e-12:  # a NaN norm fails too
             raise ValueError(f"guess {self.label!r} has norm^2 {norm2}")
         self.sectors = {sector_of(m, self.n_qubits // 2) for m, _ in self.entries}
-        if len(self.sectors) > 1 and not self.multi_sector:
-            raise ValueError(
-                f"guess {self.label!r} mixes sectors {sorted(self.sectors)}; "
-                "set multi_sector to allow"
-            )
 
     def to_statevector(self) -> StateVector:
         sv = new_register(self.n_qubits)
@@ -110,7 +104,7 @@ def load_amplitude_guess(path: str | Path, threshold: float = 0.0) -> GuessState
 
     The bitstring's leftmost character is qubit 0.  '#' starts a comment.
     Only entries with |amplitude| > threshold are kept; the survivors are
-    renormalized.  The file may mix sectors (multi_sector).
+    renormalized.  The file may mix sectors.
     """
     path = Path(path)
     entries: list[tuple[int, complex]] = []
@@ -150,7 +144,7 @@ def load_amplitude_guess(path: str | Path, threshold: float = 0.0) -> GuessState
         )
     norm = np.sqrt(sum(abs(a) ** 2 for _, a in entries))
     entries = [(m, a / norm) for m, a in entries]
-    return GuessState(n_qubits, tuple(entries), label=path.stem, multi_sector=True)
+    return GuessState(n_qubits, tuple(entries), label=path.stem)
 
 
 def write_amplitude_guess(path: str | Path, guess: GuessState) -> None:

@@ -86,8 +86,6 @@ class _StringView(Sequence):
         return self._op.x.size
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
         op = self._op
         return PauliString(complex(op.coeffs[i]), _factors(int(op.x[i]), int(op.z[i])))
 
@@ -345,44 +343,6 @@ def jordan_wigner(terms: Sequence[FermionTerm], n_modes: int) -> PauliOperator:
     # X^x Z^z = (-i)^popcount(x & z) * labeled string
     coeffs = acc[keep] * _I_POWERS[np.bitwise_count(x & z) & 3].conj()
     return PauliOperator.from_masks(n_modes, x, z, coeffs)
-
-
-# -- matrix-free application --------------------------------------------
-
-
-def apply_operator(op, state: np.ndarray) -> np.ndarray:
-    """H|psi> for a PauliOperator or an iterable of FermionTerm.
-
-    Matrix-free on the full 2**n space; the input array is not modified.
-    Fermion terms act through their _term_masks; a mode outside 0..n-1
-    raises DimensionMismatch.
-    """
-    amps = np.asarray(state, dtype=np.complex128).reshape(-1)
-    dim = amps.size
-    n = dim.bit_length() - 1
-    if 1 << n != dim:
-        raise DimensionMismatch(f"state length {dim} is not a power of two")
-
-    out = np.zeros_like(amps)
-    if isinstance(op, PauliOperator):
-        if op.n_qubits != n:
-            raise DimensionMismatch(f"operator on {op.n_qubits} qubits, state on {n}")
-        idx = np.arange(dim)
-        # labeled coefficient -> X^x Z^z coefficient
-        masked = op.coeffs * _I_POWERS[np.bitwise_count(op.x & op.z) & 3]
-        for x, z, c in zip(op.x.tolist(), op.z.tolist(), masked.tolist()):
-            signs = 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
-            out[idx ^ x] += c * signs * amps
-        return out
-
-    idx = np.arange(dim)
-    for modes, creation, coef in _term_runs(op, n):
-        masks, coef = _term_masks(modes, creation, coef)
-        for (occ, empty, flip, chain), c in zip(masks.T.tolist(), coef.tolist()):
-            alive = idx[((idx & occ) == occ) & ((idx & empty) == 0)]
-            signs = 1.0 - 2.0 * (np.bitwise_count(alive & chain) & 1)
-            out[alive ^ flip] += c * signs * amps[alive]
-    return out
 
 
 # -- particle-number sectors --------------------------------------------

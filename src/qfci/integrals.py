@@ -44,10 +44,6 @@ class SpinOrbitalIntegrals:
     h: np.ndarray  # (n_so, n_so)
     g: np.ndarray  # (n_so,)*4, <pq|rs>
 
-    @property
-    def n_orb(self) -> int:
-        return self.n_so // 2
-
 
 def _over_budget(n_orb: int) -> str | None:
     """Why n_orb spatial orbitals exceed TENSOR_BYTE_BUDGET, else None."""

@@ -127,11 +127,15 @@ def _kernel_grid(d, m: int):
 
     d is (phase*2^m - outcome) and may be any real; the kernel has
     period 2^m in d and equals 1 at d = 0, and where d is so small that
-    the denominator underflows.
+    the denominator underflows.  d is reduced to [-2^(m-1), 2^(m-1)] and
+    its distance to the nearest integer taken by subtracting rounded
+    values, both exact, so a small |d| of either sign keeps its relative
+    precision (a modulus would add 2^m to a small negative d).
     """
     size = float(1 << m)
-    d = np.mod(np.asarray(d, dtype=float), size)
-    num = np.sin(np.pi * np.mod(d, 1.0)) ** 2
+    d = np.asarray(d, dtype=float)
+    d = d - size * np.round(d / size)
+    num = np.sin(np.pi * (d - np.round(d))) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         den = (size * np.sin(np.pi * d / size)) ** 2
         k = np.where(den == 0.0, 1.0, num / den)

@@ -68,13 +68,6 @@ class TrotterPlan:
             raise ValueError("need at least one slice")
 
 
-def recommend_slices(window: EvolutionWindow, epsilon: float) -> int:
-    """First-order slice count N = ceil(tau^2/epsilon)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return max(1, math.ceil(window.tau**2 / epsilon))
-
-
 def _propagate(amps: np.ndarray, spectra: list[SectorSpectrum],
                window: EvolutionWindow, power: int) -> None:
     """U**power on a flat system amplitude array, in place.
@@ -155,7 +148,7 @@ def trotter_u(
     Applies (prod_s exp(-i c_s P_s tau/N))**N followed by the global phase
     exp(i tau E_max), one rotation per string P_s of the merged operator
     jordan_wigner(terms), in its (x, z) order: the strings that
-    resources.count_u and count_controlled_u price.  The coefficients c_s
+    resources.count_controlled_u prices.  The coefficients c_s
     must be real, i.e. the terms Hermitian, else ValueError.  When the
     2^n x 2^n slice matrix fits SLICE_MATRIX_BYTES and there are more
     slices than columns, the slice is applied once to the identity and the

@@ -38,11 +38,13 @@ class GateCounts:
         }
 
 
-def _slice_counts(op: PauliOperator, controlled: bool) -> GateCounts:
-    """Ladder-template gates for every string of op, read from its masks.
+def count_controlled_u(op: PauliOperator) -> GateCounts:
+    """Gates for one controlled Trotter slice of op, read from its masks.
 
-    Identity strings (x = z = 0) cost nothing: every other count is a
-    popcount, which is 0 for them.
+    Identity strings (x = z = 0) are skipped: their controlled action is a
+    phase on the control qubit that merges with the feedback rotation
+    already in the circuit, and every count below is a popcount, which is
+    0 for them.  Each rotation is controlled, so rz stays 0.
     """
     x, z = op.x, op.z
     n_strings = int(np.count_nonzero(x | z))
@@ -53,24 +55,8 @@ def _slice_counts(op: PauliOperator, controlled: bool) -> GateCounts:
         hadamard=2 * n_x,
         cnot=2 * (weight - n_strings),
         rx=2 * n_y,
-        rz=0 if controlled else n_strings,
-        controlled_rz=n_strings if controlled else 0,
+        controlled_rz=n_strings,
     )
-
-
-def count_controlled_u(op: PauliOperator) -> GateCounts:
-    """Gates for one controlled Trotter slice of op.
-
-    Identity strings are skipped: their controlled action is a phase on
-    the control qubit that merges with the feedback rotation already in
-    the circuit, so they cost nothing extra.
-    """
-    return _slice_counts(op, controlled=True)
-
-
-def count_u(op: PauliOperator) -> GateCounts:
-    """Gates for one uncontrolled Trotter slice (identity = global phase)."""
-    return _slice_counts(op, controlled=False)
 
 
 def fci_dimension(n_orb: int, n_alpha: int, n_beta: int) -> int:

@@ -24,9 +24,6 @@ class StateVector:
     def copy(self) -> "StateVector":
         return StateVector(self.n_qubits, self.amplitudes.copy())
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def new_register(n_qubits: int) -> StateVector:
     """All-zeros register |0...0>."""

@@ -19,7 +19,7 @@ from qfci.guess import (
 )
 from qfci.hamiltonian import enumerate_sector
 from qfci.phase_estimation import IpeaConfig, ipea_a_success_probability
-from tests.oracles import dense_s_squared
+from tests.oracles import dense_fermion, dense_s_squared
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -47,13 +47,6 @@ class TestGuessState:
     def test_nan_norm_rejected(self):
         with pytest.raises(ValueError, match="norm"):
             GuessState(2, ((0b01, complex("nan")),))
-
-    def test_sector_mixing_rejected_unless_flagged(self):
-        entries = ((0b0001, SQ2 + 0j), (0b0011, SQ2 + 0j))  # (1,0) and (2,0)
-        with pytest.raises(ValueError):
-            GuessState(4, entries)
-        ok = GuessState(4, entries, multi_sector=True)
-        assert ok.sectors == {(1, 0), (2, 0)}
 
     def test_statevector_round_trip_bit_exact(self):
         g = open_shell_csf(3, core=(0,), open_pair=(1, 2), coupling="triplet")
@@ -177,7 +170,7 @@ class TestLoadAmplitudeGuess:
         p = self.write(tmp_path, "\n".join(lines) + "\n")
         g = load_amplitude_guess(p)
         assert len(g.entries) <= 12
-        assert g.multi_sector
+        assert g.sectors == {(1, 1), (2, 2)}
 
     def test_file_round_trip(self, tmp_path):
         g = open_shell_csf(3, core=(0,), open_pair=(1, 2), coupling="singlet")
@@ -231,14 +224,13 @@ class TestRandomSectorState:
         assert np.all(sv.amplitudes[outside] == 0)
 
     def test_mean_energy_matches_trace(self, h2_terms, h2_spectrum_11):
-        from qfci.hamiltonian import apply_operator
-
+        h = dense_fermion(h2_terms, 4)
         rng = np.random.default_rng(42)
         draws = 1000
         vals = np.empty(draws)
         for i in range(draws):
             psi = random_sector_state(2, (1, 1), rng).to_statevector().amplitudes
-            vals[i] = np.vdot(psi, apply_operator(h2_terms, psi)).real
+            vals[i] = np.vdot(psi, h @ psi).real
         spectral_mean = float(np.mean(h2_spectrum_11.eigenvalues))
         sigma = np.std(vals) / np.sqrt(draws)
         assert abs(vals.mean() - spectral_mean) < 3 * sigma

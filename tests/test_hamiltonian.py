@@ -16,7 +16,6 @@ from qfci.hamiltonian import (
     FermionTerms,
     PauliOperator,
     PauliString,
-    apply_operator,
     build_second_quantized,
     enumerate_sector,
     exact_eigensolve,
@@ -74,7 +73,7 @@ class TestBuildSecondQuantized:
         terms = build_second_quantized(soi)
         assert len(terms) == 1 and terms[0].ops == ()
         psi = np.array([0.5, 0.5, 0.5, 0.5], complex)
-        assert np.allclose(apply_operator(terms, psi), 0.75 * psi)
+        assert np.allclose(dense_fermion(terms, 2) @ psi, 0.75 * psi)
 
 
 def assert_same_terms(terms, ref):
@@ -398,67 +397,7 @@ class TestJordanWignerProperties:
         assert_same_operator(jordan_wigner(terms, 4), jordan_wigner_by_dict(terms, 4))
 
 
-class TestApplyOperator:
-    def test_identity_only(self):
-        op = PauliOperator(2, [PauliString(2.5 + 0j, ())])
-        psi = np.array([0.1, 0.2, 0.3, 0.4], complex)
-        assert np.allclose(apply_operator(op, psi), 2.5 * psi)
-
-    def test_z_sign_convention(self):
-        op = PauliOperator(2, [PauliString(1.0 + 0j, ((0, "Z"),))])
-        psi = np.zeros(4, complex)
-        psi[1] = 1.0  # qubit 0 occupied
-        assert np.allclose(apply_operator(op, psi), -psi)
-
-    def test_random_pauli_vs_dense(self):
-        rng = np.random.default_rng(4)
-        strings = []
-        for _ in range(12):
-            factors = tuple(
-                (q, "XYZ"[rng.integers(3)])
-                for q in sorted(rng.choice(4, rng.integers(1, 4), replace=False))
-            )
-            strings.append(PauliString(complex(rng.standard_normal()), factors))
-        op = PauliOperator(4, strings)
-        psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        assert np.allclose(
-            apply_operator(op, psi), dense_pauli(op) @ psi, atol=1e-12
-        )
-
-    def test_fermionic_path_vs_dense(self, h2_terms):
-        rng = np.random.default_rng(8)
-        psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        assert np.allclose(
-            apply_operator(h2_terms, psi), dense_fermion(h2_terms, 4) @ psi,
-            atol=1e-12,
-        )
-
-    def test_dimension_mismatch(self):
-        op = PauliOperator(3, [PauliString(1.0 + 0j, ((0, "Z"),))])
-        with pytest.raises(DimensionMismatch):
-            apply_operator(op, np.zeros(4, complex))
-
-    def test_sector_preserved(self, h2_terms):
-        rng = np.random.default_rng(2)
-        dets = enumerate_sector(2, 1, 1)
-        psi = np.zeros(16, complex)
-        psi[dets] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        psi /= np.linalg.norm(psi)
-        out = apply_operator(h2_terms, psi)
-        outside = np.delete(np.arange(16), dets)
-        assert np.max(np.abs(out[outside])) < 1e-13
-
-    def test_hermiticity(self, h2_terms):
-        rng = np.random.default_rng(9)
-        phi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        lhs = np.vdot(phi, apply_operator(h2_terms, psi))
-        rhs = np.conj(np.vdot(psi, apply_operator(h2_terms, phi)))
-        assert abs(lhs - rhs) < 1e-12
-
-
 MODE_CHECKS = {
-    "apply_operator": lambda terms: apply_operator(terms, np.zeros(16, complex)),
     "jordan_wigner": lambda terms: jordan_wigner(terms, 4),
     "exact_eigensolve": lambda terms: exact_eigensolve(terms, 4, (1, 1)),
 }
@@ -471,35 +410,30 @@ def test_mode_outside_register_rejected(entry, mode):
         entry([FermionTerm(1.0, ((mode, True), (0, False)))])
 
 
+def mapped_ladder(n: int, mode: int, creation: bool) -> np.ndarray:
+    """The dense matrix of one ladder operator through jordan_wigner."""
+    return dense_pauli(jordan_wigner([FermionTerm(1.0, ((mode, creation),))], n))
+
+
 class TestLadderAlgebra:
+    """Single-op terms read the parity signs of _term_masks through JW."""
+
     def test_anticommutation(self):
         n = 4
         dim = 1 << n
         for p in range(n):
             for q in range(n):
-                eye = np.eye(dim)
-                a_p = np.column_stack(
-                    [apply_operator([FermionTerm(1.0, ((p, False),))], eye[:, c])
-                     for c in range(dim)]
-                )
-                adag_q = np.column_stack(
-                    [apply_operator([FermionTerm(1.0, ((q, True),))], eye[:, c])
-                     for c in range(dim)]
-                )
+                a_p = mapped_ladder(n, p, False)
+                adag_q = mapped_ladder(n, q, True)
                 anti = a_p @ adag_q + adag_q @ a_p
                 expect = np.eye(dim) if p == q else np.zeros((dim, dim))
                 assert np.allclose(anti, expect, atol=1e-14)
 
     def test_matches_dense_ladder(self):
-        rng = np.random.default_rng(14)
-        psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         for mode in range(3):
             for creation in (False, True):
-                assert np.allclose(
-                    apply_operator([FermionTerm(1.0, ((mode, creation),))], psi),
-                    dense_ladder(3, mode, creation) @ psi,
-                    atol=1e-14,
-                )
+                assert np.allclose(mapped_ladder(3, mode, creation),
+                                   dense_ladder(3, mode, creation), atol=1e-14)
 
 
 class TestSectors:
@@ -538,7 +472,7 @@ class TestExactEigensolve:
     def test_residuals(self, h2_terms, h2_spectrum_11):
         for i in range(h2_spectrum_11.dimension):
             v = h2_spectrum_11.embed(i, 4)
-            resid = apply_operator(h2_terms, v) - h2_spectrum_11.eigenvalues[i] * v
+            resid = dense_fermion(h2_terms, 4) @ v - h2_spectrum_11.eigenvalues[i] * v
             assert np.linalg.norm(resid) <= 1e-10
 
     def test_eigenvectors_orthonormal(self, h2_spectrum_11):
@@ -737,9 +671,9 @@ class TestBlockSolve:
 class TestSpectraHelpers:
     def test_guess_sectors_cover_support(self):
         entries = [(0b0001, 1.0 / np.sqrt(2)), (0b0101, 1.0 / np.sqrt(2))]  # (1,0), (1,1)
-        assert GuessState(4, tuple(entries), multi_sector=True).sectors == {(1, 0), (1, 1)}
+        assert GuessState(4, tuple(entries)).sectors == {(1, 0), (1, 1)}
         entries.append((0b1000, 1e-16))  # sector (0,1): every nonzero amplitude counts, as in a scan
-        assert GuessState(4, tuple(entries), multi_sector=True).sectors == {
+        assert GuessState(4, tuple(entries)).sectors == {
             (0, 1), (1, 0), (1, 1)}
 
     def test_eigen_weights_sum(self, h2_terms, h2_hf_state, h2_spectrum_11, window):

@@ -13,7 +13,6 @@ from qfci.integrals import to_spin_orbitals
 from qfci.resources import (
     GateCounts,
     count_controlled_u,
-    count_u,
     fci_dimension,
     fitted_exponent,
 )
@@ -39,33 +38,24 @@ class TestStringExponential:
         counts = count_controlled_u(one_string((0, "Z")))
         assert counts == GateCounts(controlled_rz=1)
 
-    def test_single_z_uncontrolled(self):
-        counts = count_u(one_string((0, "Z")))
-        assert counts == GateCounts(rz=1)
-
     def test_mixed_three_qubit_string(self):
         # X0 Y1 Z2: two H for the X, two R_x for the Y, a 2(3-1) CNOT
-        # ladder, one R_z on the parity end
-        counts = count_u(one_string((0, "X"), (1, "Y"), (2, "Z")))
-        assert counts == GateCounts(hadamard=2, cnot=4, rx=2, rz=1)
+        # ladder, one controlled R_z on the parity end
+        counts = count_controlled_u(one_string((0, "X"), (1, "Y"), (2, "Z")))
+        assert counts == GateCounts(hadamard=2, cnot=4, rx=2, controlled_rz=1)
 
     def test_all_z_ladder_scaling(self):
         for w in (1, 2, 5, 9):
-            counts = count_u(one_string(*((q, "Z") for q in range(w))))
+            counts = count_controlled_u(one_string(*((q, "Z") for q in range(w))))
             assert counts.cnot == 2 * (w - 1)
-            assert counts.rz == 1
-            assert counts.hadamard == counts.rx == 0
+            assert counts.controlled_rz == 1
+            assert counts.hadamard == counts.rx == counts.rz == 0
 
-    def test_controlled_reclassifies_only_the_rotation(self):
+    def test_idle_qubits_cost_nothing(self):
+        # X0 Y1 Z3 X5: the ladder spans the four factors, not qubits 2 and 4
         op = one_string((0, "X"), (1, "Y"), (3, "Z"), (5, "X"))
-        plain = count_u(op)
-        ctrl = count_controlled_u(op)
-        assert ctrl.hadamard == plain.hadamard
-        assert ctrl.cnot == plain.cnot
-        assert ctrl.rx == plain.rx
-        assert plain.rz == 1 and plain.controlled_rz == 0
-        assert ctrl.rz == 0 and ctrl.controlled_rz == 1
-        assert ctrl.total == plain.total
+        assert count_controlled_u(op) == GateCounts(hadamard=4, cnot=6, rx=2,
+                                                    controlled_rz=1)
 
 
 class TestOperatorCounts:
@@ -73,24 +63,10 @@ class TestOperatorCounts:
         # X0 X2: two H per X and a 2(2-1) CNOT ladder around one rotation
         op = PauliOperator(3, [string((0, "X"), (2, "X"))])
         assert count_controlled_u(op) == GateCounts(hadamard=4, cnot=2, controlled_rz=1)
-        assert count_u(op) == GateCounts(hadamard=4, cnot=2, rz=1)
 
     def test_identity_strings_cost_nothing(self):
         op = PauliOperator(2, [PauliString(0.5, ()), string((0, "Z"))])
         assert count_controlled_u(op) == GateCounts(controlled_rz=1)
-        assert count_u(op) == GateCounts(rz=1)
-
-    def test_controlled_dominates_componentwise(self, h2_soi):
-        op = jordan_wigner(build_second_quantized(h2_soi), 4)
-        plain = count_u(op)
-        ctrl = count_controlled_u(op)
-        assert ctrl.hadamard >= plain.hadamard
-        assert ctrl.cnot >= plain.cnot
-        assert ctrl.rx >= plain.rx
-        # the only difference is rz -> controlled_rz reclassification
-        assert ctrl.controlled_rz == plain.rz
-        assert ctrl.rz == 0
-        assert ctrl.total == plain.total
 
     def test_h2_golden_counts(self, h2_soi):
         op = jordan_wigner(build_second_quantized(h2_soi), 4)

@@ -87,7 +87,7 @@ class TestGates:
             apply_gate(sv, HADAMARD, int(rng.integers(4)))
             if rng.random() < 0.3:
                 apply_gate(sv, rz_phase(float(rng.random())), int(rng.integers(4)))
-        assert abs(sv.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(sv.amplitudes) - 1.0) < 1e-12
 
     def test_index_errors(self):
         sv = new_register(2)
@@ -122,7 +122,7 @@ class TestMeasurement:
         sv = plus_state()
         bit, _ = measure_qubit(sv, 0, rng)
         assert sv.amplitudes[1 - bit] == 0.0
-        assert abs(sv.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(sv.amplitudes) - 1.0) < 1e-12
 
     def test_chi_square_against_probability_of(self):
         rng = np.random.default_rng(77)
