@@ -64,7 +64,7 @@ def dense_fermion(terms, n: int) -> np.ndarray:
     dim = 1 << n
     total = np.zeros((dim, dim), dtype=complex)
     for t in terms:
-        mat = np.eye(dim, dtype=complex)
+        mat = np.eye(dim)  # real: ladder products are 0/+-1, and float BLAS is fast
         for mode, creation in t.ops:
             mat = mat @ dense_ladder(n, mode, creation)
         total += t.coefficient * mat
@@ -98,6 +98,35 @@ def majority_tail_exact(n: int, p: float) -> Fraction:
         acc = acc * a + math.comb(n, r) * b_pow
         b_pow *= d - a
     return Fraction(acc * a ** (n // 2 + 1), d**n)
+
+
+def kernel_by_sum(d: float, m: int) -> float:
+    """|2^-m sum_j exp(2 pi i j d / 2^m)|^2: the squared QFT amplitude of an
+    outcome at grid distance d (phase * 2^m - outcome), summed term by term."""
+    size = 1 << m
+    return abs(np.exp(2j * np.pi * np.arange(size) * (d / size)).sum() / size) ** 2
+
+
+def ipea_distribution_by_paths(weights, m: int) -> np.ndarray:
+    """Outcome distribution of m-bit IPEA, sum_j w_j prod_k P(b_k | phi_j, omega_k).
+
+    Level k runs first at k = m and reads bit m - k of the outcome v,
+    after a readout rotation of omega_k = -(v mod 2^(m-k)) / 2^(m-k+1)
+    turns from the bits already read; it reads 1 with probability
+    sin^2(pi (2^(k-1) phi + omega_k)).  Eigencomponents never mix, so
+    their path probabilities add with the weights (Dobsicek et al.,
+    PRA 76, 030306, 2007).  weights holds (weight, phase-in-turns) pairs.
+    """
+    dist = np.zeros(1 << m)
+    for v in range(1 << m):
+        for w, phase in weights:
+            p = w
+            for k in range(m, 0, -1):
+                omega = -(v % (1 << (m - k))) / 2 ** (m - k + 1)
+                one = math.sin(math.pi * (2 ** (k - 1) * phase + omega)) ** 2
+                p *= one if v >> (m - k) & 1 else 1.0 - one
+            dist[v] += p
+    return dist
 
 
 def b_success_by_dict(weights, m: int, reps: int, b_down: int, b_up: int,

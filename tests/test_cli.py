@@ -10,15 +10,23 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qfci.cli as cli
 from qfci.cli import SEARCH_CAVEAT, load_scan_config, main
+from qfci.integrals import random_molecular_integrals, to_spin_orbitals
 from qfci.phase_estimation import IpeaConfig
 from qfci.resources import fci_dimension
 
 from tests.conftest import FIXTURES, H2_SECTOR_11_EIGENVALUES
+from tests.oracles import (
+    b_success_by_dict,
+    build_second_quantized_by_loop,
+    dense_fermion,
+    kernel_by_sum,
+)
 
 SCHEMA_DIR = Path(__file__).parent.parent / "src" / "qfci" / "schemas"
 
@@ -336,6 +344,20 @@ class TestRunCommand:
         assert warning.startswith("rand: populated eigenvalue")
         assert f"{top:.10g}" in warning
         assert f"{top + 0.5:.3g}" in warning
+
+    @pytest.mark.parametrize("e_max, e_min", [
+        (-0.60986983728903, -1.66466983728903),
+        (-0.45916983728902994, -1.8153698372890301),
+    ])
+    def test_window_centred_on_the_target_decodes_it(self, e_max, e_min, tmp_path):
+        """The ground state's phase rounds an ulp or two below 1/2 here; p_up
+        and p_tot read 0.375 and 2e-28 while the kernel lost that distance."""
+        cfg_path = write_config(
+            tmp_path, ipea={"e_max": e_max, "e_min": e_min, "bits": 8, "seed": 0})
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        row = read_rows(tmp_path / "scan.csv")[0]
+        assert float(row["p_tot"]) >= 0.98
+        assert float(row["p_tot"]) == pytest.approx(float(row["overlap_sq"]), abs=1e-12)
 
     def test_repetition_counts_share_one_b_call(self, tmp_path, monkeypatch):
         calls = []
@@ -721,6 +743,120 @@ class TestScalingCommand:
             )
             blobs.append((csv_path.read_bytes(), json_path.read_bytes()))
         assert blobs[0] == blobs[1]
+
+
+# -- every cell of an ok row against an independent dense pipeline -----------
+
+PIPELINE_COUNTS = (1, 3, 11)
+
+
+def write_fcidump(path: Path, mol) -> None:
+    """mol as FCIDUMP text: each symmetry-distinct element once, by repr."""
+    n = mol.n_orb
+    pairs = [(i, j) for i in range(n) for j in range(i + 1)]
+    lines = [f"&FCI NORB={n},NELEC={mol.n_elec},MS2={mol.ms2},", "&END"]
+    for a, (i, j) in enumerate(pairs):
+        for k, l in pairs[:a + 1]:
+            lines.append(f"{float(mol.two_body[i, j, k, l])!r} {i + 1} {j + 1} {k + 1} {l + 1}")
+    lines += [f"{float(mol.one_body[i, j])!r} {i + 1} {j + 1} 0 0" for i, j in pairs]
+    lines.append(f"{float(mol.core_energy)!r} 0 0 0 0")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@st.composite
+def pipeline_cases(draw):
+    """A random FCIDUMP (2-3 orbitals), sector, target, amplitude guess, m and window.
+
+    Half the windows are 10% wider than the sector's spectrum; the other
+    half put the target on an m-bit grid point, with e_max moved 0-4 ulps
+    either way, so its phase lands on the point or a few ulps beside it.
+    Draws whose target eigenvalue lies within 1e-8 of another are skipped:
+    its eigenvector, and so its overlap, is not unique.
+    """
+    mol = random_molecular_integrals(draw(st.integers(2, 3)),
+                                     np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    n = mol.n_orb
+    sector = (draw(st.integers(0, n)), draw(st.integers(0, n)))
+    dets = [d for d in range(1 << 2 * n)
+            if (d & ((1 << n) - 1)).bit_count() == sector[0] and (d >> n).bit_count() == sector[1]]
+    amps = np.array([draw(st.floats(-1.0, 1.0)) for _ in dets])
+    amps[draw(st.integers(0, len(dets) - 1))] = draw(st.floats(0.25, 1.0))
+    h = dense_fermion(build_second_quantized_by_loop(to_spin_orbitals(mol)), 2 * n)
+    energies, vectors = np.linalg.eigh(h[np.ix_(dets, dets)])
+    target = draw(st.integers(0, len(dets) - 1))
+    assume(np.all(np.abs(np.delete(energies, target) - energies[target]) >= 1e-8))
+    m = draw(st.integers(3, 9))
+    span = float(energies[-1] - energies[0])
+    if draw(st.booleans()):
+        width = 1.1 * span if span > 1e-9 else 1.0
+        e_max = float(energies[-1]) + 0.05 * width
+    else:
+        width = 2.0 * max(span, 0.5)
+        size = 1 << m
+        top = float(energies[-1] - energies[target]) / width
+        bottom = float(energies[target] - energies[0]) / width
+        g = draw(st.integers(max(1, math.ceil(size * top)), math.floor(size * (1 - bottom)) - 1))
+        e_max = float(energies[target]) + g / size * width
+        for _ in range(draw(st.integers(0, 4))):
+            e_max = float(np.nextafter(e_max, draw(st.sampled_from([-np.inf, np.inf]))))
+    return {"mol": mol, "sector": sector, "dets": dets, "amps": amps, "target": target,
+            "energies": energies, "vectors": vectors, "m": m, "e_max": e_max,
+            "e_min": e_max - width, "variant": draw(st.sampled_from(["A", "B"]))}
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(pipeline_cases())
+def test_ok_row_matches_dense_pipeline(tmp_path_factory, case):
+    """Every cell of an ok row, recomputed from dense_fermion, eigh, the kernel
+    as an explicit sum and b_success_by_dict.  The kernel cells take their
+    phase from the row's fci_energy, which is checked first: on a grid point
+    an ulp of energy decides which outcome is 'down'."""
+    work = tmp_path_factory.mktemp("pipeline")
+    n, m = case["mol"].n_orb, case["m"]
+    write_fcidump(work / "mol.fcidump", case["mol"])
+    (work / "guess.amp").write_text("".join(
+        f"{a!r} " + "".join(str(d >> q & 1) for q in range(2 * n)) + "\n"
+        for d, a in zip(case["dets"], case["amps"].tolist())), encoding="utf-8")
+    point = {"label": "p", "fcidump": "mol.fcidump", "sector": list(case["sector"]),
+             "target": case["target"], "guess": {"kind": "amplitudes", "path": "guess.amp"}}
+    ipea = {"e_max": case["e_max"], "e_min": case["e_min"], "bits": m, "seed": 3,
+            "variant": case["variant"]}
+    cfg_path = write_config(work, ipea=ipea, points=[point],
+                            repetition_counts=list(PIPELINE_COUNTS))
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["run", "--config", str(cfg_path)]) == 0
+    assert json.loads((work / "scan.json").read_text())["points"][0]["status"] == "ok"
+    (row,) = read_rows(work / "scan.csv")
+
+    e_max, e_min, width, size = case["e_max"], case["e_min"], case["e_max"] - case["e_min"], 1 << m
+    psi = case["amps"] / np.linalg.norm(case["amps"])
+    weights = np.abs(case["vectors"].conj().T @ psi) ** 2
+    phases = (e_max - case["energies"]) / width
+    fci = float(row["fci_energy"])
+    assert fci == pytest.approx(case["energies"][case["target"]], rel=1e-12, abs=1e-12)
+    overlap = weights[case["target"]]
+    u = math.fmod((e_max - fci) / width, 1.0) * size
+    b = math.floor(u)
+    down, up = (overlap * kernel_by_sum(u - b - s, m) for s in (0, 1))
+    b_down = b % size
+    expect = {"fci_energy": fci, "overlap_sq": overlap, "overlap_scaled": 0.81 * overlap,
+              "p_down": down, "p_up": up, "p_tot": down + up}
+    for reps in PIPELINE_COUNTS:
+        expect[f"b_success_r{reps}"] = min(1.0, b_success_by_dict(
+            list(zip(weights, phases)), m, reps, b_down, (b_down + 1) % size, prune_tol=0.0)[0])
+    for key, value in expect.items():
+        assert float(row[key]) == pytest.approx(value, rel=1e-12, abs=1e-12), key
+
+    outcome = round((e_max - float(row["sampled_energy"])) / width * size)
+    assert 0 <= outcome < size
+    assert e_max - outcome / size * width == float(row["sampled_energy"])
+    echoed = {"label": "p", "fcidump": str(work / "mol.fcidump"),
+              "n_alpha": str(case["sector"][0]), "n_beta": str(case["sector"][1]),
+              "target": str(case["target"]), "variant": case["variant"], "bits": str(m),
+              "error": ""}
+    assert {k: row[k] for k in echoed} == echoed
+    assert (float(row["e_max"]), float(row["e_min"])) == (e_max, e_min)
+    assert set(row) == {*echoed, "e_max", "e_min", "sampled_energy", *expect}
 
 
 # -- fuzz: every input runs or exits 2 ----------------------------------------

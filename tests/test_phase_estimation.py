@@ -45,6 +45,8 @@ from tests.oracles import (
     b_success_by_dict,
     ipea_a_run_full_register,
     ipea_b_run_gate_level,
+    ipea_distribution_by_paths,
+    kernel_by_sum,
     majority_tail_exact,
 )
 
@@ -220,6 +222,74 @@ class TestPeaDistribution:
         assert dist[b] == pytest.approx(down, abs=1e-12)
         assert dist[0] == pytest.approx(up, abs=1e-12)
         assert up > 0.1
+
+
+def ulp_neighbours(x: float, steps: int = 4) -> list[float]:
+    """x and the floats 1..steps ulps either side of it."""
+    out, below, above = [x], x, x
+    for _ in range(steps):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [float(below), float(above)]
+    return out
+
+
+class TestKernelNearGridPoints:
+    """The kernel keeps the relative precision of a small distance of either sign."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_parseval_on_and_beside_every_grid_point(self, m):
+        size = 1 << m
+        for g in range(size + 1):
+            for phase in ulp_neighbours(g / size):
+                total = pea_distribution([(1.0, phase)], m).sum()
+                assert total == pytest.approx(1.0, abs=1e-12), (g, phase)
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_matches_explicit_sum_at_small_distances(self, m):
+        for d in (-1e-3, -1e-6, -1e-9, -1e-12, 1e-12, 1e-6):
+            for shift in (0.0, -1.0, 1.0, float(1 << m)):
+                assert phase_estimation._kernel_grid(d + shift, m) == pytest.approx(
+                    kernel_by_sum(d + shift, m), abs=1e-12), (d, shift)
+
+    @pytest.mark.parametrize("m", [1, 4, 8, 12, 20])
+    def test_rounding_masses_sum_to_one_beside_grid_points(self, m):
+        size = 1 << m
+        for g in (0, 1, size // 2, size - 1):
+            for delta in (-1e-6, -1e-9, -1e-12, 1e-12, 1e-9, 1e-6):  # in grid units
+                phase = (g + delta) / size
+                if phase < 0:
+                    continue
+                _, down, up = rounding_masses(phase, m)
+                assert down + up == pytest.approx(1.0, abs=1e-9), (g, delta)
+            for phase in ulp_neighbours(g / size):
+                _, down, up = rounding_masses(phase, m)
+                assert down + up == pytest.approx(1.0, abs=1e-12), (g, phase)
+
+
+@st.composite
+def eigen_mixtures(draw):
+    """(m, [(weight, phase)]): m <= 6 and up to four components, each phase
+    generic or on an m-bit grid point or 1-4 ulps beside it."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 4))
+    phases = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            phases.append(draw(st.floats(0.0, 1.0, exclude_max=True)))
+        else:
+            g = draw(st.integers(0, 1 << m))
+            phases.append(draw(st.sampled_from(ulp_neighbours(g / (1 << m)))))
+    raw = np.array([draw(st.floats(0.01, 1.0)) for _ in range(n)])
+    return m, list(zip((raw / raw.sum()).tolist(), phases))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(eigen_mixtures())
+def test_distribution_matches_ipea_path_products(case):
+    """The QPE kernel mixture equals IPEA's per-level Born products, outcome by outcome."""
+    m, weights = case
+    np.testing.assert_allclose(pea_distribution(weights, m),
+                               ipea_distribution_by_paths(weights, m), rtol=0, atol=1e-12)
 
 
 class TestIpeaVariantA:
