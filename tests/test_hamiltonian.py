@@ -470,9 +470,10 @@ class TestExactEigensolve:
         )
 
     def test_residuals(self, h2_terms, h2_spectrum_11):
+        h = dense_fermion(h2_terms, 4)
         for i in range(h2_spectrum_11.dimension):
             v = h2_spectrum_11.embed(i, 4)
-            resid = dense_fermion(h2_terms, 4) @ v - h2_spectrum_11.eigenvalues[i] * v
+            resid = h @ v - h2_spectrum_11.eigenvalues[i] * v
             assert np.linalg.norm(resid) <= 1e-10
 
     def test_eigenvectors_orthonormal(self, h2_spectrum_11):
